@@ -49,6 +49,7 @@ class Writer {
   void vec(const std::vector<T>& v) {
     pod(static_cast<std::uint64_t>(v.size()));
     static_assert(std::is_trivially_copyable_v<T>);
+    if (v.empty()) return;
     buf_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
   }
   void str(const std::string& s) {
@@ -83,9 +84,10 @@ class Reader {
   template <typename T>
   std::vector<T> vec() {
     const auto count = pod<std::uint64_t>();
-    need(count * sizeof(T));
+    need(count, sizeof(T));
     std::vector<T> v(count);
-    std::memcpy(v.data(), p_, count * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must never see.
+    if (count > 0) std::memcpy(v.data(), p_, count * sizeof(T));
     p_ += count * sizeof(T);
     return v;
   }
@@ -102,8 +104,10 @@ class Reader {
   }
 
  private:
-  void need(std::uint64_t bytes) const {
-    check(static_cast<std::uint64_t>(end_ - p_) >= bytes,
+  /// Require `count` items of `size` bytes. Divides rather than multiplies,
+  /// so a lying count cannot wrap the bound.
+  void need(std::uint64_t count, std::size_t size = 1) const {
+    check(static_cast<std::uint64_t>(end_ - p_) / size >= count,
           "payload truncated: " + context_);
   }
   const char* p_;

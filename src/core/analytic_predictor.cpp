@@ -16,42 +16,36 @@ AnalyticPredictor::AnalyticPredictor(const uarch::MachineConfig& machine)
 
 namespace {
 
-// Uniform access to dense windows and lazy windows so both prediction paths
-// share one implementation (equality is also pinned by tests).
-struct DenseCtx {
-  const WindowView& w;
-  std::size_t rows() const { return w.rows; }
+// A dense window behind the LazyWindow interface, so both prediction paths
+// share one implementation (equality is also pinned by tests). Its in-flight
+// count is the one row pass the dense path (batch sink, predict_batch) makes;
+// a LazyWindow has it from the scan that built the view.
+class DenseCtx {
+ public:
+  explicit DenseCtx(const WindowView& w) : w_(w) {
+    for (std::size_t r = 1; r < w_.rows; ++r) {
+      in_flight_ += w_.row(r)[kCtxLatFeature] > 0;
+    }
+  }
+  std::size_t rows() const { return w_.rows; }
   std::int32_t remaining(std::size_t r) const {
-    return r == 0 || r >= w.rows ? 0 : w.row(r)[kCtxLatFeature];
+    return r == 0 || r >= w_.rows ? 0 : w_.row(r)[kCtxLatFeature];
   }
-  std::span<const std::int32_t> features(std::size_t r) const { return w.row(r); }
-};
+  std::span<const std::int32_t> features(std::size_t r) const { return w_.row(r); }
+  std::size_t context_count() const { return in_flight_; }
 
-struct LazyCtx {
-  const LazyWindow& w;
-  std::size_t rows() const { return w.rows(); }
-  std::int32_t remaining(std::size_t r) const { return w.remaining(r); }
-  std::span<const std::int32_t> features(std::size_t r) const {
-    return w.features(r);
-  }
+ private:
+  const WindowView& w_;
+  std::size_t in_flight_ = 0;
 };
 
 template <typename Ctx>
 LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
   const auto cur = ctx.features(0);
   const std::size_t rows = ctx.rows();
-
   // Context rows are program-order indexed; a row is in flight iff its
-  // remaining-latency entry is positive. Track the in-flight population and
-  // the oldest in-flight row (for ROB backpressure).
-  std::size_t in_flight = 0;
-  std::size_t oldest_row = 0;
-  for (std::size_t r = 1; r < rows; ++r) {
-    if (ctx.remaining(r) > 0) {
-      ++in_flight;
-      oldest_row = r;
-    }
-  }
+  // remaining-latency entry is positive.
+  const std::size_t in_flight = ctx.context_count();
 
   const auto data_level = static_cast<HitLevel>(cur[Feat::kDataLevel]);
   const auto dtlb = static_cast<TlbLevel>(cur[Feat::kDtlb]);
@@ -75,11 +69,10 @@ LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
   // Redirect after a mispredicted branch: the previous instruction (row 1)
   // must resolve before this one can fetch.
   std::uint32_t redirect = 0;
-  if (rows > 1 && ctx.remaining(1) > 0) {
+  if (const std::int32_t rem = ctx.remaining(1); rem > 0) {
     const auto prev = ctx.features(1);
     if (prev[Feat::kIsControl] != 0 && prev[Feat::kMispredicted] != 0) {
-      redirect = static_cast<std::uint32_t>(ctx.remaining(1)) +
-                 cfg.bp.mispredict_penalty;
+      redirect = static_cast<std::uint32_t>(rem) + cfg.bp.mispredict_penalty;
     }
   }
   // Window back-pressure (mirrors the OooCore fetch constraints):
@@ -136,7 +129,6 @@ LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
                                 ctx.remaining(static_cast<std::size_t>(dist))));
     }
   }
-  (void)oldest_row;
 
   std::uint32_t mem_lat = 0;
   if (cur[Feat::kIsLoad] != 0) {
@@ -180,11 +172,11 @@ LatencyPrediction evaluate(const uarch::MachineConfig& cfg, const Ctx& ctx) {
 
 LatencyPrediction AnalyticPredictor::predict(const WindowView& w,
                                              std::uint64_t /*global_index*/) {
-  return evaluate(cfg_, DenseCtx{w});
+  return evaluate(cfg_, DenseCtx(w));
 }
 
 LatencyPrediction AnalyticPredictor::predict_lazy(const LazyWindow& w) {
-  return evaluate(cfg_, LazyCtx{w});
+  return evaluate(cfg_, w);
 }
 
 }  // namespace mlsim::core

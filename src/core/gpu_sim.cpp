@@ -36,7 +36,8 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
   const bool swiq_path = opts_.gpu_input_construction && opts_.sliding_window;
   SlidingWindowQueue queue(opts_.context_length, opts_.batch_n, dev_, copy_stream,
                            /*account_costs=*/swiq_path);
-  std::vector<std::int32_t> window;
+  ContextScratch scratch;
+  std::vector<std::int32_t> sink_window;  // materialised window for batch_sink
 
   if (opts_.record_predictions) out.predictions.reserve(out.instructions);
   if (opts_.record_context_counts) out.context_counts.reserve(out.instructions);
@@ -82,7 +83,10 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
       }
     }
 
-    const std::size_t ctx = queue.context_count();
+    // The step's window, in place over the queue's resident rows and
+    // retire clocks; its modeled construction cost is charged below.
+    const LazyWindow lw = queue.view(cur, scratch);
+    const std::size_t ctx = lw.context_count();
     occupancy_sum += static_cast<double>(ctx) / static_cast<double>(rows - 1);
     if (opts_.record_context_counts) {
       out.context_counts.push_back(static_cast<std::uint16_t>(ctx));
@@ -91,7 +95,6 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
     // --- Input construction (+ per-mode data movement) -----------------------
     {
     MLSIM_TRACE_SPAN("gpu_sim/input_construction");
-    double t = dev_.record(sim_stream);
     if (!opts_.gpu_input_construction) {
       // Baseline data path: host queue push + concat/pad + full-window H2D.
       acc.queue_push += cm.host_queue_push_us;
@@ -114,14 +117,12 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
       acc.input_construct += cm.custom_conv_construct_us(opts_.batch_n);
       dev_.advance(sim_stream, cm.custom_conv_construct_us(opts_.batch_n));
     }
-    (void)t;
 
     // --- Transpose (eliminated by the custom convolution) --------------------
     if (!opts_.custom_conv) {
       acc.transpose += cm.transpose_us(rows);
       dev_.advance(sim_stream, cm.transpose_us(rows));
     }
-    queue.build_window(window);
     }
 
     // --- Inference ------------------------------------------------------------
@@ -137,9 +138,12 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
 
     // Functional prediction — real computation, identical across all cost
     // toggles (the toggles change only where/so-how-fast steps run).
-    p = opts_.batch_sink != nullptr
-            ? opts_.batch_sink->predict_via(window.data(), rows, cur)
-            : predictor_.predict(WindowView{window.data(), rows}, cur);
+    if (opts_.batch_sink != nullptr) {
+      lw.materialize(sink_window);
+      p = opts_.batch_sink->predict_via(sink_window.data(), rows, cur);
+    } else {
+      p = predictor_.predict_lazy(lw);
+    }
     }
     queue.apply_prediction(p);
     if (opts_.record_predictions) out.predictions.push_back(p);

@@ -58,6 +58,7 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
   RunningStats occupancy;
 
   // Batch scratch.
+  ContextScratch scratch;
   std::vector<std::int32_t> windows(P * rows * W);
   std::vector<std::uint64_t> indices(P);
   std::vector<std::uint32_t> owner(P);
@@ -72,25 +73,19 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
       const std::size_t i = cur[p];
       if (i == begin[p]) clock_at_body[p] = clock[p];
       const LazyWindow lw(tr, i, h_begin[p], ring.data() + p * cap, cap, clock[p],
-                          rows);
+                          rows, scratch);
       const std::size_t head_limit =
           correcting ? std::min(opts_.correction_limit + 1, end[p] - begin[p]) : 0;
-      const bool want_count =
-          (opts_.record_context_counts && i >= begin[p]) ||
-          (correcting && i >= begin[p] && i - begin[p] < head_limit) ||
-          ((i & 63) == 0);
-      if (want_count) {
-        const std::size_t cnt = lw.context_count();
-        if ((i & 63) == 0) {
-          occupancy.add(static_cast<double>(cnt) /
-                        static_cast<double>(opts_.context_length));
-        }
-        if (opts_.record_context_counts && i >= begin[p]) {
-          res.context_counts[i] = static_cast<std::uint16_t>(cnt);
-        }
-        if (correcting && i >= begin[p] && i - begin[p] < head_limit) {
-          head_counts[p].push_back(static_cast<std::uint16_t>(cnt));
-        }
+      const std::size_t cnt = lw.context_count();
+      if ((i & 63) == 0) {
+        occupancy.add(static_cast<double>(cnt) /
+                      static_cast<double>(opts_.context_length));
+      }
+      if (opts_.record_context_counts && i >= begin[p]) {
+        res.context_counts[i] = static_cast<std::uint16_t>(cnt);
+      }
+      if (correcting && i >= begin[p] && i - begin[p] < head_limit) {
+        head_counts[p].push_back(static_cast<std::uint16_t>(cnt));
       }
       lw.materialize_to(windows.data() + k * rows * W);
       indices[k] = i;
@@ -107,8 +102,7 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
       const std::size_t p = owner[j];
       const std::size_t i = static_cast<std::size_t>(indices[j]);
       const LatencyPrediction pr = preds[j];
-      ring[p * cap + i % cap] = clock[p] + pr.fetch + pr.exec + pr.store;
-      clock[p] += pr.fetch;
+      retire_step(ring.data() + p * cap, cap, i, pr, clock[p]);
       if (i >= begin[p]) {
         fetch_lat[i] = pr.fetch;
         if (opts_.record_predictions) res.predictions[i] = pr;
@@ -132,7 +126,8 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
       std::size_t corrected = 0;
       for (std::size_t j = 0; j < head_limit && b + j < end[p]; ++j) {
         const std::size_t i = b + j;
-        const LazyWindow lw(tr, i, h_begin[p - 1], prev_ring, cap, cclock, rows);
+        const LazyWindow lw(tr, i, h_begin[p - 1], prev_ring, cap, cclock, rows,
+                            scratch);
         const std::size_t cnt = lw.context_count();
         if (cnt == head_counts[p][j]) break;
         const LatencyPrediction pr = predictor_.predict_lazy(lw);
@@ -143,8 +138,7 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
         if (opts_.record_context_counts) {
           res.context_counts[i] = static_cast<std::uint16_t>(cnt);
         }
-        prev_ring[i % cap] = cclock + pr.fetch + pr.exec + pr.store;
-        cclock += pr.fetch;
+        retire_step(prev_ring, cap, i, pr, cclock);
         ++corrected;
       }
       res.corrected_instructions += corrected;

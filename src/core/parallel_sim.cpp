@@ -102,8 +102,10 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
   ShardEngine engine(predictor_, trace, opts_, plan);
   std::size_t start_p = 0;
 
-  const std::uint64_t fp = run_fingerprint(trace, opts_, P);
   const bool checkpointing = !opts_.checkpoint_path.empty();
+  // Only checkpoints need the run's identity; hashing every trace row costs
+  // a sizable share of a short run.
+  const std::uint64_t fp = checkpointing ? run_fingerprint(trace, opts_, P) : 0;
 
   // ---- resume ---------------------------------------------------------------
   if (checkpointing && opts_.resume) {

@@ -1,64 +1,14 @@
 #include "core/predictor.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace mlsim::core {
 
-LazyWindow::LazyWindow(const trace::EncodedTrace& tr, std::uint64_t current,
-                       std::uint64_t oldest, const std::uint64_t* retire_ring,
-                       std::size_t ring_capacity, std::uint64_t clock,
-                       std::size_t rows)
-    : trace_(tr),
-      current_(current),
-      oldest_(oldest),
-      ring_(retire_ring),
-      ring_cap_(ring_capacity),
-      clock_(clock),
-      rows_(rows) {
-  check(ring_capacity >= rows - 1, "retire ring smaller than context length");
-  check(current < tr.size(), "current index out of trace bounds");
-}
-
-std::int32_t LazyWindow::remaining(std::size_t r) const {
-  if (r == 0 || r >= rows_) return 0;
-  if (current_ < oldest_ + r) return 0;  // beyond available history: padding
-  const std::uint64_t retire = ring_[(current_ - r) % ring_cap_];
-  if (retire <= clock_) return 0;  // retired
-  return static_cast<std::int32_t>(
-      std::min<std::uint64_t>(retire - clock_, kMaxLatencyEntry));
-}
-
-void LazyWindow::materialize(std::vector<std::int32_t>& out) const {
-  out.resize(rows_ * trace::kNumFeatures);
-  materialize_to(out.data());
-}
-
-void LazyWindow::materialize_to(std::int32_t* out) const {
-  std::fill(out, out + rows_ * trace::kNumFeatures, 0);
-  const auto cur = features(0);
-  std::copy(cur.begin(), cur.end(), out);
-  for (std::size_t r = 1; r < rows_; ++r) {
-    const std::int32_t rem = remaining(r);
-    if (rem > 0) {
-      auto* dst = out + r * trace::kNumFeatures;
-      const auto row = features(r);
-      std::copy(row.begin(), row.end(), dst);
-      dst[kCtxLatFeature] = rem;
-    }
-  }
-}
-
-std::size_t LazyWindow::context_count() const {
-  std::size_t n = 0;
-  for (std::size_t r = 1; r < rows_; ++r) n += remaining(r) > 0;
-  return n;
-}
-
 LatencyPrediction LatencyPredictor::predict_lazy(const LazyWindow& window) {
-  window.materialize(lazy_buf_);
-  return predict(WindowView{lazy_buf_.data(), window.rows()},
+  // Per thread, so concurrent engines sharing a predictor never share it.
+  thread_local std::vector<std::int32_t> dense;
+  window.materialize(dense);
+  return predict(WindowView{dense.data(), window.rows()},
                  window.current_index());
 }
 

@@ -21,52 +21,6 @@
 
 namespace mlsim::core {
 
-/// Zero-copy window view over a trace plus a ring of retire clocks.
-///
-/// Context row r of instruction i is trace row i-r; a row is in flight iff
-/// its retire clock (ring) is > Clock and i-r is within the available
-/// history (>= oldest). materialize() produces exactly the window
-/// InstructionQueue::push_and_build builds, so predictors without a lazy
-/// fast path see identical inputs.
-class LazyWindow {
- public:
-  LazyWindow(const trace::EncodedTrace& tr, std::uint64_t current,
-             std::uint64_t oldest, const std::uint64_t* retire_ring,
-             std::size_t ring_capacity, std::uint64_t clock, std::size_t rows);
-
-  std::size_t rows() const { return rows_; }
-  std::uint64_t current_index() const { return current_; }
-
-  /// Remaining latency of context row r (>=1); 0 if padding or retired.
-  std::int32_t remaining(std::size_t r) const;
-
-  /// Static features of row r (r = 0 is the current instruction). Only
-  /// valid for r == 0 or rows with remaining(r) > 0.
-  std::span<const std::int32_t> features(std::size_t r) const {
-    return trace_.features(current_ - r);
-  }
-
-  /// Build the dense window (rows x kNumFeatures, zero-padded, latency
-  /// entries injected).
-  void materialize(std::vector<std::int32_t>& out) const;
-
-  /// Same, into caller-provided storage of rows()*kNumFeatures entries
-  /// (used by the lockstep engine to fill batch buffers in place).
-  void materialize_to(std::int32_t* out) const;
-
-  /// In-flight population among the context rows.
-  std::size_t context_count() const;
-
- private:
-  const trace::EncodedTrace& trace_;
-  std::uint64_t current_;
-  std::uint64_t oldest_;
-  const std::uint64_t* ring_;
-  std::size_t ring_cap_;
-  std::uint64_t clock_;
-  std::size_t rows_;
-};
-
 class LatencyPredictor {
  public:
   virtual ~LatencyPredictor() = default;
@@ -83,10 +37,11 @@ class LatencyPredictor {
                              std::size_t rows, const std::uint64_t* global_indices,
                              LatencyPrediction* out);
 
-  /// Lazy-window prediction. The default materialises the window and calls
-  /// predict(); predictors that can read the queue in place (the analytic
-  /// model — and, on real hardware, the custom convolution path) override
-  /// this to skip the copy.
+  /// Prediction from the in-place window view — the call every engine
+  /// makes for a single window. The default materialises the window and
+  /// calls predict(); predictors that can read the view in place (the
+  /// analytic model — and, on real hardware, the custom convolution path)
+  /// override this to skip the copy.
   virtual LatencyPrediction predict_lazy(const LazyWindow& window);
 
   /// FLOPs per single-window inference (drives the device cost model;
@@ -95,9 +50,6 @@ class LatencyPredictor {
 
   /// Which device inference engine this predictor models.
   virtual device::Engine engine() const { return device::Engine::kTensorRT; }
-
- private:
-  std::vector<std::int32_t> lazy_buf_;  // scratch for the default lazy path
 };
 
 /// Replays ground-truth labels from a labeled trace.

@@ -1,9 +1,10 @@
 // Sequential SimNet-style simulator (the Fig. 1 reference workflow).
 //
-// Walks the encoded trace one instruction at a time through the reference
-// InstructionQueue, invoking a LatencyPredictor per instruction, and
-// accounts the simulated time of every step of the naive flow — the four
-// redundant copies the paper's optimisations remove:
+// Walks the encoded trace one instruction at a time with the reference
+// queue semantics (InstructionQueue; here as a retire ring read through a
+// LazyWindow), invoking a LatencyPredictor per instruction, and accounts
+// the simulated time of every step of the naive flow — the four redundant
+// copies the paper's optimisations remove:
 //   copy 1: trace row -> instruction queue          (host)
 //   copy 2: queue -> concatenated/padded input       (host)
 //   copy 3: input -> GPU                             (H2D)
@@ -17,7 +18,6 @@
 
 #include "common/cancellation.h"
 #include "core/cost_model.h"
-#include "core/instruction_queue.h"
 #include "core/predict_sink.h"
 #include "core/predictor.h"
 #include "core/sim_output.h"

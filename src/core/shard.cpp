@@ -154,24 +154,18 @@ void ShardEngine::run_partition(std::size_t p) {
     for (std::size_t i = h_begin; i < e; ++i) {
       if (opts_.cancel != nullptr) opts_.cancel->check();
       if (i == b) clock_at_body = clock;
-      const LazyWindow lw(trace_, i, h_begin, ring_.data(), cap, clock, rows);
-
-      const bool want_count =
-          (opts_.record_context_counts && i >= b) ||
-          (correcting && i >= b && i - b < head_limit) || ((i & 63) == 0);
-      std::size_t cnt = 0;
-      if (want_count) {
-        cnt = lw.context_count();
-        if ((i & 63) == 0) {
-          occupancy.add(static_cast<double>(cnt) /
-                        static_cast<double>(opts_.context_length));
-        }
-        if (opts_.record_context_counts && i >= b) {
-          context_counts[i] = static_cast<std::uint16_t>(cnt);
-        }
-        if (correcting && i >= b && i - b < head_limit) {
-          head_counts_[p].push_back(static_cast<std::uint16_t>(cnt));
-        }
+      const LazyWindow lw(trace_, i, h_begin, ring_.data(), cap, clock, rows,
+                          scratch_);
+      const std::size_t cnt = lw.context_count();
+      if ((i & 63) == 0) {
+        occupancy.add(static_cast<double>(cnt) /
+                      static_cast<double>(opts_.context_length));
+      }
+      if (opts_.record_context_counts && i >= b) {
+        context_counts[i] = static_cast<std::uint16_t>(cnt);
+      }
+      if (correcting && i >= b && i - b < head_limit) {
+        head_counts_[p].push_back(static_cast<std::uint16_t>(cnt));
       }
 
       // Degraded partitions run on the fallback predictor and must bypass
@@ -205,8 +199,7 @@ void ShardEngine::run_partition(std::size_t p) {
         anomaly = true;
         break;
       }
-      ring_[i % cap] = clock + pr.fetch + pr.exec + pr.store;
-      clock += pr.fetch;
+      retire_step(ring_.data(), cap, i, pr, clock);
       if (i >= b) {
         fetch_lat_[i] = pr.fetch;
         if (opts_.record_predictions) predictions[i] = pr;
@@ -234,7 +227,7 @@ void ShardEngine::run_partition(std::size_t p) {
     for (std::size_t j = 0; j < head_limit && b + j < e; ++j) {
       const std::size_t i = b + j;
       const LazyWindow lw(trace_, i, prev_oldest, prev_ring.data(), cap, cclock,
-                          rows);
+                          rows, scratch_);
       const std::size_t cnt = lw.context_count();
       if (cnt == head_counts_[p][j]) break;  // contexts converged
       LatencyPrediction pr;
@@ -252,8 +245,7 @@ void ShardEngine::run_partition(std::size_t p) {
       if (opts_.record_context_counts) {
         context_counts[i] = static_cast<std::uint16_t>(cnt);
       }
-      prev_ring[i % cap] = cclock + pr.fetch + pr.exec + pr.store;
-      cclock += pr.fetch;
+      retire_step(prev_ring.data(), cap, i, pr, cclock);
       ++corrected;
     }
     corrected_instructions += corrected;

@@ -144,6 +144,7 @@ class ShardEngine {
   std::vector<std::uint32_t> fetch_lat_;
   std::vector<std::vector<std::uint16_t>> head_counts_;
   std::vector<std::uint64_t> ring_;
+  ContextScratch scratch_;                 // the step's LazyWindow scan
   std::vector<std::int32_t> sink_window_;  // materialised window for batch_sink
 };
 

@@ -30,8 +30,9 @@ WindowDataset::WindowDataset(const trace::EncodedTrace& labeled,
 }
 
 void WindowDataset::window(std::size_t i, std::vector<std::int32_t>& out) const {
+  ContextScratch scratch;
   const LazyWindow lw(trace_, i, /*oldest=*/0, retire_.data(), retire_.size(),
-                      clock_[i], rows_);
+                      clock_[i], rows_, scratch);
   lw.materialize(out);
 }
 

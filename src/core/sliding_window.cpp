@@ -21,8 +21,7 @@ SlidingWindowQueue::SlidingWindowQueue(std::size_t context_length,
       copy_stream_(copy_stream),
       account_costs_(account_costs),
       buf_((context_length + 1 + batch_n) * trace::kNumFeatures),
-      retire_clock_(context_length + 1 + batch_n, 0),
-      valid_(context_length + 1 + batch_n, 0) {
+      retire_clock_(context_length + 1 + batch_n, 0) {
   check(context_length > 0, "context length must be positive");
   check(batch_n > 0, "batch size must be positive");
 }
@@ -42,14 +41,13 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
       const std::size_t src = pos_ + r;
       const std::size_t dst = dst0 + r;
       if (src >= capacity_rows()) {
-        valid_[dst] = 0;  // candidate beyond history: stays padding
+        retire_clock_[dst] = 0;  // candidate beyond history: stays padding
         continue;
       }
-      if (valid_[src] && retire_clock_[src] > clock_) ++live;
+      if (retire_clock_[src] > clock_) ++live;
       std::memcpy(buf_.data() + dst * trace::kNumFeatures,
                   buf_.data() + src * trace::kNumFeatures, kRowBytes);
       retire_clock_[dst] = retire_clock_[src];
-      valid_[dst] = valid_[src];
     }
     // Device cost: only live rows are actually moved by the compaction
     // kernel (the paper skips copying retired instructions).
@@ -64,11 +62,10 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
     const std::size_t slot = p0 - j;
     std::memcpy(buf_.data() + slot * trace::kNumFeatures,
                 rows + j * trace::kNumFeatures, kRowBytes);
-    retire_clock_[slot] = 0;
-    valid_[slot] = 0;  // becomes a context candidate only once simulated
+    retire_clock_[slot] = 0;  // a context candidate only once simulated
   }
   // Clear unused staging slots so stale rows never leak into windows.
-  for (std::size_t slot = 0; slot + m <= p0; ++slot) valid_[slot] = 0;
+  for (std::size_t slot = 0; slot + m <= p0; ++slot) retire_clock_[slot] = 0;
 
   // One H2D transfer for the whole batch (the amortisation the design buys).
   if (account_costs_) dev_.copy_h2d(nullptr, nullptr, m * kRowBytes, copy_stream_);
@@ -78,29 +75,24 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
   return m;
 }
 
-void SlidingWindowQueue::build_window(std::vector<std::int32_t>& out) {
-  check(remaining_ > 0, "build_window with no staged instruction");
-  check(!pending_, "build_window called twice without apply_prediction");
+LazyWindow SlidingWindowQueue::view(std::uint64_t global_index,
+                                    ContextScratch& scratch) {
+  check(remaining_ > 0, "window built with no staged instruction");
+  check(!pending_, "window built twice without apply_prediction");
   pending_ = true;
+  // Row r of the window is storage row pos_ + r; rows past the end of the
+  // storage are padding.
+  return LazyWindow(buf_.data() + pos_ * trace::kNumFeatures,
+                    retire_clock_.data() + pos_, capacity_rows() - 1 - pos_,
+                    global_index, clock_, ctx_len_ + 1, scratch);
+}
 
-  const std::size_t rows = ctx_len_ + 1;
-  out.assign(rows * trace::kNumFeatures, 0);
-  // Row 0: current instruction (its latency-entry slot is zero in storage —
-  // the encoder reserves it).
-  std::memcpy(out.data(), buf_.data() + pos_ * trace::kNumFeatures, kRowBytes);
-  for (std::size_t r = 1; r < rows; ++r) {
-    const std::size_t s = pos_ + r;
-    if (s >= capacity_rows()) break;
-    if (valid_[s] && retire_clock_[s] > clock_) {
-      auto* dst = out.data() + r * trace::kNumFeatures;
-      std::memcpy(dst, buf_.data() + s * trace::kNumFeatures, kRowBytes);
-      dst[kCtxLatFeature] = remaining_latency(s);
-    }
-  }
+void SlidingWindowQueue::build_window(std::vector<std::int32_t>& out) {
+  view(0, scratch_).materialize(out);
 }
 
 std::int32_t SlidingWindowQueue::remaining_latency(std::size_t r) const {
-  if (r >= capacity_rows() || !valid_[r] || retire_clock_[r] <= clock_) return 0;
+  if (r >= capacity_rows() || retire_clock_[r] <= clock_) return 0;
   return static_cast<std::int32_t>(
       std::min<std::uint64_t>(retire_clock_[r] - clock_, kMaxLatencyEntry));
 }
@@ -110,17 +102,16 @@ std::size_t SlidingWindowQueue::context_count() const {
   for (std::size_t r = 1; r <= ctx_len_; ++r) {
     const std::size_t s = pos_ + r;
     if (s >= capacity_rows()) break;
-    n += valid_[s] && retire_clock_[s] > clock_;
+    n += retire_clock_[s] > clock_;
   }
   return n;
 }
 
 void SlidingWindowQueue::apply_prediction(const LatencyPrediction& p) {
-  check(pending_, "apply_prediction without matching build_window");
+  check(pending_, "apply_prediction without a window for the step");
   pending_ = false;
 
   retire_clock_[pos_] = clock_ + p.fetch + p.exec + p.store;
-  valid_[pos_] = 1;
   last_retire_ = std::max(last_retire_, retire_clock_[pos_]);
   clock_ += p.fetch;
 
@@ -130,7 +121,6 @@ void SlidingWindowQueue::apply_prediction(const LatencyPrediction& p) {
 
 void SlidingWindowQueue::reset() {
   std::fill(retire_clock_.begin(), retire_clock_.end(), 0);
-  std::fill(valid_.begin(), valid_.end(), 0);
   pos_ = 0;
   remaining_ = 0;
   clock_ = 0;

@@ -10,8 +10,11 @@
 //
 // Retire clocks live in a dedicated vector (the paper's shared-memory
 // latency vector): the static feature rows are never rewritten after
-// staging; windows materialised for inference inject the remaining-latency
-// entries and zero retired rows, exactly matching InstructionQueue.
+// staging. A retire clock of 0 marks a row that holds no simulated
+// instruction (staged, padding), since 0 is never > Clock. The step's
+// window is a LazyWindow over these two arrays (view()); materialised
+// windows inject the remaining-latency entries and zero retired rows,
+// exactly matching InstructionQueue.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +48,14 @@ class SlidingWindowQueue {
   /// reversed. Returns the number staged (min(count, batch_n)).
   std::size_t refill(const std::int32_t* rows, std::size_t count);
 
+  /// The inference window for the current instruction (trace index
+  /// `global_index`), in place over the queue's storage and retire clocks.
+  /// Starts the step like build_window; valid until apply_prediction.
+  LazyWindow view(std::uint64_t global_index, ContextScratch& scratch);
+
   /// Materialise the inference window for the current instruction into
-  /// `out` (ctx_len+1 rows) and account the construction. Identical output
-  /// to InstructionQueue::push_and_build.
+  /// `out` (ctx_len+1 rows). Identical output to
+  /// InstructionQueue::push_and_build.
   void build_window(std::vector<std::int32_t>& out);
 
   /// In-flight population among the context candidates.
@@ -79,8 +87,8 @@ class SlidingWindowQueue {
   bool account_costs_;
 
   device::DeviceBuffer<std::int32_t> buf_;      // capacity_rows x kNumFeatures
-  std::vector<std::uint64_t> retire_clock_;     // per storage row
-  std::vector<std::uint8_t> valid_;             // per storage row: holds an inst
+  std::vector<std::uint64_t> retire_clock_;     // per storage row; 0 = empty
+  ContextScratch scratch_;                      // build_window's view
   std::size_t pos_ = 0;        // current-instruction row (window start)
   std::size_t remaining_ = 0;  // staged instructions not yet simulated
   std::uint64_t clock_ = 0;

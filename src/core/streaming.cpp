@@ -23,6 +23,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
   const std::size_t cap = context_length;
   std::vector<std::uint64_t> ring(cap, 0);
   std::uint64_t clock = 0;
+  ContextScratch scratch;
 
   trace::EncodedTrace buf(stream.benchmark());
   std::size_t local = 0;  // next buffer row to simulate
@@ -46,7 +47,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
       for (; local < buf.size(); ++local) {
         if (cancel != nullptr) cancel->check();
         const LazyWindow lw(buf, local, /*oldest=*/0, ring.data(), cap, clock,
-                            rows);
+                            rows, scratch);
         LatencyPrediction p;
         if (batch_sink != nullptr) {
           lw.materialize(sink_window);
@@ -55,8 +56,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
         } else {
           p = predictor.predict_lazy(lw);
         }
-        ring[local % cap] = clock + p.fetch + p.exec + p.store;
-        clock += p.fetch;
+        retire_step(ring.data(), cap, local, p, clock);
         res.predicted_cycles += p.fetch;
         res.truth_cycles += buf.targets(local)[0];
         ++res.instructions;

@@ -466,6 +466,20 @@ void DistCoordinator::handle_frame(Worker& w, RunState& rs) {
   }
 }
 
+void DistCoordinator::settle_buffered_frames(RunState& rs) {
+  // The loop above stops at the final Result; frames that arrived with it (a
+  // leaver's Goodbye rides in the same write as its last Result) are handled
+  // here, so the run's stats count every departure it saw. Bounded per
+  // worker: an idle worker's heartbeats never hold the run open.
+  for (auto& w : workers_) {
+    for (int n = 0; n < 4 && !w->dead; ++n) {
+      if (!net::poll_readable({w->conn.fd()}, 0).front()) break;
+      handle_frame(*w, rs);
+    }
+  }
+  reap_dead_workers();
+}
+
 void DistCoordinator::reap_dead_workers() {
   workers_.erase(
       std::remove_if(workers_.begin(), workers_.end(),
@@ -660,6 +674,7 @@ core::ParallelSimResult DistCoordinator::run(
     reap_dead_workers();
     refresh_health(&rs);
   }
+  settle_buffered_frames(rs);
 
   core::ShardMerger merger(plan, opts.record_predictions,
                            opts.record_context_counts);

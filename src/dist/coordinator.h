@@ -243,6 +243,7 @@ class DistCoordinator final : public service::RemoteBackend {
   /// Mean expected shard latency (µs) over workers with a pace EWMA, each
   /// de-rated by its reported busy ratio; < 0 until any worker completed.
   double fleet_pace_us() const;
+  void settle_buffered_frames(RunState& rs);
   void reap_dead_workers();
   /// Close the drained run: journal run-close, count abandoned shards,
   /// shut the workers down, and throw DrainError.

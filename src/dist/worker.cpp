@@ -256,20 +256,26 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
               pending = PendingResult{s.fingerprint, a.shard, a.attempt,
                                       engine.block_outcome(a.part_lo,
                                                            a.part_hi)};
-              net::send_frame(
-                  conn, encode_result({s.id, a.shard, a.attempt},
-                                      pending->outcome,
-                                      tracing ? a.trace_id : 0, spans));
+              const std::string result = encode_result(
+                  {s.id, a.shard, a.attempt}, pending->outcome,
+                  tracing ? a.trace_id : 0, spans);
+              const bool leaving =
+                  cfg.leave_after_shards > 0 &&
+                  stats.shards_computed + 1 >= cfg.leave_after_shards;
+              if (leaving) {
+                // Planned departure: leave idle right after the Result — the
+                // coordinator marks us departed, not lost. One write, so the
+                // Goodbye arrives with the Result even if it is the run's
+                // last.
+                net::send_frames(conn,
+                                 {result, encode_goodbye({s.id, kIdleShard})});
+              } else {
+                net::send_frame(conn, result);
+              }
               pending.reset();
               inflight_shard = kIdleShard;
               ++stats.shards_computed;
-              if (cfg.leave_after_shards > 0 &&
-                  stats.shards_computed >= cfg.leave_after_shards) {
-                // Planned departure: the Result above already drained, so
-                // leave idle — the coordinator marks us departed, not lost.
-                net::send_frame(conn, encode_goodbye({s.id, kIdleShard}));
-                return stats;
-              }
+              if (leaving) return stats;
             } catch (const CheckError& e) {
               // Deterministic content failure: rerunning the shard
               // anywhere reproduces it, so the coordinator must fail the

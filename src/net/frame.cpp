@@ -13,6 +13,13 @@ void send_frame(TcpConn& conn, std::string_view payload) {
   MLSIM_COUNTER_ADD(obs::names::kNetFramesSent, 1);
 }
 
+void send_frames(TcpConn& conn, std::initializer_list<std::string_view> payloads) {
+  std::string enveloped;
+  for (const std::string_view p : payloads) enveloped += wire::seal(kFrameMagic, p);
+  conn.send_all(enveloped.data(), enveloped.size());
+  MLSIM_COUNTER_ADD(obs::names::kNetFramesSent, payloads.size());
+}
+
 bool recv_frame(TcpConn& conn, std::string& payload) {
   MLSIM_HIST_TIMER(obs::names::kNetFrameRecvNs);
   std::string enveloped(wire::kEnvelopeBytes, '\0');

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "net/socket.h"
 
@@ -24,6 +26,10 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /// Seal `payload` in the wire envelope and send it.
 void send_frame(TcpConn& conn, std::string_view payload);
+
+/// Seal each payload and send them all in one write, so a receiver that
+/// reads the first frame finds the rest already arriving with it.
+void send_frames(TcpConn& conn, std::initializer_list<std::string_view> payloads);
 
 /// Receive one frame's payload. Blocks until a full frame arrives; call
 /// after conn.readable() to bound the wait. Returns false on clean EOF at a

@@ -137,32 +137,81 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{5},
                                          std::size_t{16})));
 
-TEST(LazyWindowEquivalence, MatchesReferenceQueueWindows) {
-  const std::size_t ctx = 16;
-  trace::EncodedTrace tr = small_trace("xz", 2000);
+// Per-row reference definition of a ring view, the one LazyWindow's
+// single scan must reproduce: row r is instruction current-r, padding when
+// older than `oldest`, in flight iff its ring retire clock is > Clock, and
+// clamped to kMaxLatencyEntry.
+std::int32_t reference_remaining(std::uint64_t current, std::uint64_t oldest,
+                                 const std::vector<std::uint64_t>& ring,
+                                 std::uint64_t clock, std::size_t rows,
+                                 std::size_t r) {
+  if (r == 0 || r >= rows || current < oldest + r) return 0;
+  const std::uint64_t retire = ring[(current - r) % ring.size()];
+  if (retire <= clock) return 0;
+  return static_cast<std::int32_t>(
+      std::min<std::uint64_t>(retire - clock, kMaxLatencyEntry));
+}
+
+// Two partitions share one retire ring without a reset, as ShardEngine runs
+// them: the second starts its Clock at 0 with a warm-up history (oldest > 0)
+// while the ring still holds the first partition's retire clocks, which
+// exceed the new Clock. The ring wraps every `cap` instructions, and every
+// 97th instruction's huge execute latency drives the kMaxLatencyEntry clamp.
+void expect_lazy_matches_reference(std::size_t ctx, std::size_t cap) {
+  const std::size_t rows = ctx + 1;
+  trace::EncodedTrace tr = small_trace("xz", 1500);
   AnalyticPredictor pred;
 
-  InstructionQueue ref(ctx);
-  std::vector<std::uint64_t> ring(ctx, 0);
-  std::uint64_t clock = 0;
+  std::vector<std::uint64_t> ring(cap, 0);
+  ContextScratch scratch;
+  std::vector<std::int32_t> wr, wl, wt(rows * trace::kNumFeatures);
+  struct Partition {
+    std::size_t oldest, end;
+  };
+  for (const Partition part : {Partition{0, 700}, Partition{640, 1500}}) {
+    InstructionQueue ref(ctx);  // fed from `oldest`: the warm-up history
+    std::uint64_t clock = 0;
+    for (std::size_t i = part.oldest; i < part.end; ++i) {
+      const std::size_t ref_count_before = ref.context_count();
+      ref.push_and_build(tr.features(i), wr);
+      const LazyWindow lw(tr, i, part.oldest, ring.data(), ring.size(), clock,
+                          rows, scratch);
+      std::size_t live = 0;
+      for (std::size_t r = 0; r <= rows; ++r) {
+        const std::int32_t want =
+            reference_remaining(i, part.oldest, ring, clock, rows, r);
+        ASSERT_EQ(lw.remaining(r), want) << "row " << r << " at " << i;
+        live += want > 0;
+      }
+      ASSERT_EQ(lw.context_count(), live) << "at " << i;
+      ASSERT_EQ(lw.context_count(), ref_count_before) << "at " << i;
+      lw.materialize(wl);
+      ASSERT_EQ(wr, wl) << "lazy window mismatch at " << i;
+      lw.materialize_to(wt.data());
+      ASSERT_EQ(wr, wt) << "materialize_to mismatch at " << i;
 
-  std::vector<std::int32_t> wr, wl;
-  for (std::size_t i = 0; i < tr.size(); ++i) {
-    const std::size_t ref_count_before = ref.context_count();
-    ref.push_and_build(tr.features(i), wr);
-    const LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1);
-    lw.materialize(wl);
-    ASSERT_EQ(wr, wl) << "lazy window mismatch at " << i;
-    ASSERT_EQ(lw.context_count(), ref_count_before);
+      LatencyPrediction p = pred.predict(WindowView{wr.data(), rows}, i);
+      // Lazy predictions agree with dense predictions on identical windows.
+      ASSERT_EQ(pred.predict_lazy(lw), p) << "prediction mismatch at " << i;
+      if (i % 97 == 0) p.exec += 100000;
 
-    const LatencyPrediction p = pred.predict(WindowView{wr.data(), ctx + 1}, i);
-    // Lazy predictions agree with dense predictions on identical windows.
-    ASSERT_EQ(pred.predict_lazy(lw), p) << "prediction mismatch at " << i;
+      ref.apply_prediction(p);
+      retire_step(ring.data(), ring.size(), i, p, clock);
+      ASSERT_EQ(ref.clock(), clock);
+    }
+  }
+}
 
-    ref.apply_prediction(p);
-    ring[i % ring.size()] = clock + p.fetch + p.exec + p.store;
-    clock += p.fetch;
-    ASSERT_EQ(ref.clock(), clock);
+TEST(LazyWindowEquivalence, MatchesReferenceQueueWindows) {
+  for (const std::size_t ctx : {1, 16, 33, 64, 111}) {
+    // A ring of exactly the context length, and a larger one whose wrap
+    // falls at other rows.
+    for (const std::size_t cap : {ctx, ctx + 5}) {
+      SCOPED_TRACE("context " + std::to_string(ctx) + ", ring " +
+                   std::to_string(cap));
+      expect_lazy_matches_reference(ctx, cap);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include "core/analytic_predictor.h"
 #include "core/cnn_predictor.h"
 #include "core/gpu_sim.h"
+#include "core/instruction_queue.h"
 #include "core/lockstep_sim.h"
 #include "core/sequential_sim.h"
 #include "core/simulator.h"
@@ -109,6 +110,133 @@ TEST(CrossEngine, SuiteMatchesIndividualRuns) {
     if (j.name == "xz") EXPECT_DOUBLE_EQ(j.cpi, ra.cpi());
     if (j.name == "exch") EXPECT_DOUBLE_EQ(j.cpi, rb.cpi());
   }
+}
+
+// ---------------------------------------------------- dense-input identity --
+
+/// Overrides only predict(), so every single-window call an engine makes
+/// reaches it through the base predict_lazy, which materialises the view:
+/// the input a CNN sees. Records each window and delegates to the analytic
+/// model.
+class DenseRecorder final : public LatencyPredictor {
+ public:
+  struct Call {
+    std::uint64_t index = 0;
+    std::vector<std::int32_t> window;
+    LatencyPrediction p;
+  };
+
+  LatencyPrediction predict(const WindowView& w, std::uint64_t gi) override {
+    Call c{gi,
+           std::vector<std::int32_t>(w.data, w.data + w.rows * trace::kNumFeatures),
+           inner_.predict(w, gi)};
+    calls.push_back(std::move(c));
+    return calls.back().p;
+  }
+  std::size_t flops_per_window(std::size_t rows) const override {
+    return inner_.flops_per_window(rows);
+  }
+
+  std::vector<Call> calls;
+
+ private:
+  AnalyticPredictor inner_;
+};
+
+/// Replay calls [k, k + n) through `q`, the reference queue, feeding trace
+/// rows first, first + 1, ...: each recorded window must be the one
+/// InstructionQueue::push_and_build builds. Advances k.
+void expect_replay(const trace::EncodedTrace& tr,
+                   const std::vector<DenseRecorder::Call>& calls, std::size_t& k,
+                   std::size_t first, std::size_t n, InstructionQueue& q) {
+  std::vector<std::int32_t> w;
+  for (std::size_t j = 0; j < n; ++j, ++k) {
+    ASSERT_LT(k, calls.size());
+    const DenseRecorder::Call& c = calls[k];
+    ASSERT_EQ(c.index, first + j) << "call " << k;
+    q.push_and_build(tr.features(first + j), w);
+    ASSERT_EQ(c.window, w) << "window of instruction " << c.index;
+    q.apply_prediction(c.p);
+  }
+}
+
+class GpuDenseInput : public ::testing::TestWithParam<int> {};
+
+TEST_P(GpuDenseInput, MaterialisedWindowsMatchReferenceQueue) {
+  const int bits = GetParam();
+  const std::size_t ctx = 16;
+  const auto tr = uarch::make_encoded_trace(trace::find_workload("mcf"), 700, {}, 3);
+  DenseRecorder rec;
+  device::Device dev;
+  GpuSimOptions go;
+  go.context_length = ctx;
+  go.batch_n = 6;
+  go.gpu_input_construction = (bits & 1) != 0;
+  go.sliding_window = (bits & 2) != 0;
+  go.custom_conv = (bits & 4) != 0;
+  go.pipelined = (bits & 8) != 0;
+  GpuSimulator(rec, dev, go).run(tr);
+
+  InstructionQueue q(ctx);
+  std::size_t k = 0;
+  expect_replay(tr, rec.calls, k, 0, tr.size(), q);
+  EXPECT_EQ(k, rec.calls.size());
+}
+
+// Every combination of the four §IV toggles (GIC, SWIQ, CC, PS).
+INSTANTIATE_TEST_SUITE_P(AllToggles, GpuDenseInput, ::testing::Range(0, 16));
+
+TEST(DenseInput, SequentialWindowsMatchReferenceQueue) {
+  const std::size_t ctx = 16;
+  const auto tr = uarch::make_encoded_trace(trace::find_workload("perl"), 900, {}, 5);
+  for (const auto [begin, end] : {std::pair<std::size_t, std::size_t>{0, 900},
+                                  {137, 760}}) {
+    DenseRecorder rec;
+    SequentialSimOptions so;
+    so.context_length = ctx;
+    SequentialSimulator(rec, so).run(tr, begin, end);
+
+    InstructionQueue q(ctx);
+    std::size_t k = 0;
+    expect_replay(tr, rec.calls, k, begin, end - begin, q);
+    EXPECT_EQ(k, rec.calls.size());
+  }
+}
+
+TEST(DenseInput, ParallelWindowsMatchReferenceQueue) {
+  const std::size_t ctx = 16;
+  const auto tr = uarch::make_encoded_trace(trace::find_workload("mcf"), 1200, {}, 7);
+  DenseRecorder rec;
+  ParallelSimOptions po;
+  po.num_subtraces = 6;
+  po.num_gpus = 2;
+  po.context_length = ctx;
+  po.warmup = 4;
+  po.post_error_correction = true;
+  po.correction_limit = 30;
+  const ParallelSimResult res = ParallelSimulator(rec, po).run(tr);
+  ASSERT_GT(res.warmup_instructions, 0u);
+  ASSERT_GT(res.corrected_instructions, 0u);
+
+  // Replay in the engine's order: each partition's body from its warm-up
+  // start on a fresh queue, then the correction of its head, which resumes
+  // the previous partition's end-of-body queue.
+  const std::size_t per_gpu = (po.num_subtraces + po.num_gpus - 1) / po.num_gpus;
+  std::size_t k = 0;
+  InstructionQueue prev(ctx);
+  for (std::size_t p = 0; p < po.num_subtraces; ++p) {
+    const std::size_t b = res.boundaries[p], e = res.boundaries[p + 1];
+    const std::size_t h = b >= po.warmup ? b - po.warmup : 0;
+    InstructionQueue q(ctx);
+    expect_replay(tr, rec.calls, k, h, e - h, q);
+    if (p > 0 && p / per_gpu == (p - 1) / per_gpu) {
+      std::size_t n = 0;  // corrections stop where the contexts converged
+      while (k + n < rec.calls.size() && rec.calls[k + n].index == b + n) ++n;
+      expect_replay(tr, rec.calls, k, b, n, prev);
+    }
+    prev = q;
+  }
+  EXPECT_EQ(k, rec.calls.size());
 }
 
 }  // namespace

@@ -113,6 +113,7 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
   core::SlidingWindowQueue swq(ctx, batch_n, dev, 0);
   std::vector<std::uint64_t> ring(ctx, 0);
   std::uint64_t clock = 0;
+  core::ContextScratch scratch;
 
   std::vector<std::int32_t> wr, ws, wl;
   std::size_t next = 0;
@@ -123,7 +124,8 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
     }
     ref.push_and_build(tr.features(i), wr);
     swq.build_window(ws);
-    const core::LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1);
+    const core::LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1,
+                              scratch);
     lw.materialize(wl);
     ASSERT_EQ(wr, ws) << i;
     ASSERT_EQ(wr, wl) << i;

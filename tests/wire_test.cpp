@@ -56,6 +56,28 @@ TEST(Wire, EmptyPayloadRoundTrips) {
   EXPECT_EQ(unseal(kMagic, sealed, "test").size(), 0u);
 }
 
+TEST(Wire, EmptyVectorRoundTrips) {
+  Writer w;
+  w.vec(std::vector<std::uint64_t>{});
+  w.vec(std::vector<std::uint32_t>{7});
+  const std::string payload = w.take();
+  EXPECT_EQ(payload.size(), 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t));
+  Reader r(payload, "test");
+  EXPECT_TRUE(r.vec<std::uint64_t>().empty());
+  EXPECT_EQ(r.vec<std::uint32_t>(), (std::vector<std::uint32_t>{7}));
+  r.finish();
+}
+
+TEST(Wire, OversizedVectorCountIsTruncation) {
+  // A count whose byte size wraps 64 bits must still be caught as truncation.
+  Writer w;
+  w.pod<std::uint64_t>(std::uint64_t{1} << 62);
+  w.pod<std::uint32_t>(1);
+  const std::string payload = w.take();
+  Reader r(payload, "test");
+  EXPECT_THROW(r.vec<std::uint32_t>(), CheckError);
+}
+
 TEST(Wire, EveryBitFlipIsDetected) {
   const std::string payload = sample_payload();
   const std::string sealed = seal(kMagic, payload);
