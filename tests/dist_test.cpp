@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -1323,16 +1324,20 @@ TEST(Dist, TelemetryScrapeDuringRunIsRaceFree) {
 
 #if !defined(MLSIM_TSAN)
 
-/// Fork a real worker process. The child never returns. `delay_ms` makes
-/// the child sleep before connecting — a late joiner forked while the
-/// parent is still quiet (forking mid-run from a multithreaded parent is
-/// not safe).
+/// Fork a real worker process. The child never returns. With `start_pipe`
+/// the child waits for one byte on start_pipe[0] before connecting — a late
+/// joiner forked while the parent is still quiet (forking mid-run from a
+/// multithreaded parent is not safe) and released by a run event, not by
+/// a wall-clock delay.
 pid_t fork_worker(std::uint16_t port, int heartbeat_ms = 50,
-                  bool enable_obs = false, int delay_ms = 0) {
+                  bool enable_obs = false, const int* start_pipe = nullptr) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  if (delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  if (start_pipe != nullptr) {
+    ::close(start_pipe[1]);
+    char go = 0;
+    [[maybe_unused]] const ssize_t n = ::read(start_pipe[0], &go, 1);
+    ::close(start_pipe[0]);
   }
   WorkerConfig cfg;
   cfg.port = port;
@@ -1419,33 +1424,56 @@ TEST(DistProcess, HardKilledWorkerProcessIsRecoveredFrom) {
 }
 
 TEST(DistProcess, ChurnKilledAndJoinedWorkersStayBitIdentical) {
-  // The full churn chaos scenario: one worker process is SIGKILLed once the
-  // run is demonstrably mid-flight, a fresh one joins mid-run, and the
-  // merged CPI must still be bit-identical with the lost shard reassigned.
+  // The full churn chaos scenario: one worker process is SIGKILLed while it
+  // holds a shard once the run is demonstrably mid-flight, a fresh one
+  // joins mid-run, and the merged CPI must still be bit-identical with the
+  // lost shard reassigned.
   const auto tr = make_trace("mcf", 120000);
   const auto opts = base_options(12, 12);  // 12 shards
   const auto local = local_reference(tr, opts);
 
   CoordinatorOptions co;
   co.min_workers = 2;
-  co.heartbeat_timeout_ms = 500;
+  // Far above the killer's reaction time: the stopped victim's silence must
+  // not cost it its shard before the SIGKILL does.
+  co.heartbeat_timeout_ms = 5000;
   co.poll_ms = 20;
   auto coord = std::make_unique<DistCoordinator>(net::TcpListener::bind(0), co);
+  int start[2];
+  ASSERT_EQ(::pipe(start), 0);
   const pid_t victim = fork_worker(coord->port());
   const pid_t survivor = fork_worker(coord->port());
   const pid_t joiner =
-      fork_worker(coord->port(), 50, /*enable_obs=*/false, /*delay_ms=*/250);
+      fork_worker(coord->port(), 50, /*enable_obs=*/false, start);
+  ::close(start[0]);
   ASSERT_GT(victim, 0);
   ASSERT_GT(survivor, 0);
   ASSERT_GT(joiner, 0);
 
-  // Kill once a couple of shards have completed, observed through the same
-  // thread-safe stats() snapshot the telemetry plane scrapes.
-  std::thread killer([&coord, victim] {
-    for (int i = 0; i < 1000; ++i) {
-      if (coord->stats().shards_completed >= 2) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+  // Run events are observed through the same thread-safe stats() snapshot
+  // the telemetry plane scrapes, so the choreography does not depend on
+  // how fast the host computes a shard:
+  //  1. once the run has dispatched to both workers, SIGSTOP the victim. A
+  //     stopped process keeps its socket, so it holds (or is next sent) a
+  //     shard it never finishes: the run cannot end while it lives;
+  //  2. release the joiner into that run;
+  //  3. once the joiner is in and a couple of shards have completed,
+  //     SIGKILL the victim — the shard it holds must be reassigned.
+  std::thread killer([&coord, victim, release = start[1]] {
+    const auto wait_for = [&coord](auto&& done) {
+      for (int i = 0; i < 1000 && !done(coord->stats()); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    };
+    wait_for([](const CoordinatorStats& st) {
+      return st.shards_dispatched >= 2;
+    });
+    kill(victim, SIGSTOP);
+    [[maybe_unused]] const ssize_t n = ::write(release, "j", 1);
+    ::close(release);
+    wait_for([](const CoordinatorStats& st) {
+      return st.workers_joined >= 3 && st.shards_completed >= 2;
+    });
     kill(victim, SIGKILL);
   });
 

@@ -18,6 +18,11 @@ struct Golden {
   std::uint64_t truth_cycles;  // ground-truth fetch-cycle total
 };
 
+// Name each case by its benchmark. The default printer dumps the struct's
+// bytes, pointer included, so the case names would change with every load
+// address.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.abbr; }
+
 class GoldenCycles : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenCycles, GroundTruthPinned) {
