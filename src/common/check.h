@@ -2,8 +2,8 @@
 // library consumers (and tests) can observe contract violations.
 #pragma once
 
+#include <cstddef>
 #include <source_location>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,25 +33,28 @@ class DrainError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+namespace detail {
+
+// The failure paths: formatting the message and throwing stay out of line,
+// so every check() / check_index() inlines to a compare and a branch.
+[[noreturn, gnu::cold, gnu::noinline]] void check_failed(
+    std::string_view msg, const std::source_location& loc);
+[[noreturn, gnu::cold, gnu::noinline]] void check_index_failed(
+    std::size_t v, std::size_t hi, std::string_view what,
+    const std::source_location& loc);
+
+}  // namespace detail
+
 /// Verify `cond`; throw CheckError annotated with the call site otherwise.
 inline void check(bool cond, std::string_view msg,
                   std::source_location loc = std::source_location::current()) {
-  if (!cond) [[unlikely]] {
-    std::ostringstream os;
-    os << loc.file_name() << ':' << loc.line() << " check failed: " << msg;
-    throw CheckError(os.str());
-  }
+  if (!cond) [[unlikely]] detail::check_failed(msg, loc);
 }
 
 /// Verify `lo <= v < hi` for index-style arguments.
 inline void check_index(std::size_t v, std::size_t hi, std::string_view what,
                         std::source_location loc = std::source_location::current()) {
-  if (v >= hi) [[unlikely]] {
-    std::ostringstream os;
-    os << loc.file_name() << ':' << loc.line() << " index check failed: " << what
-       << " = " << v << " must be < " << hi;
-    throw CheckError(os.str());
-  }
+  if (v >= hi) [[unlikely]] detail::check_index_failed(v, hi, what, loc);
 }
 
 }  // namespace mlsim

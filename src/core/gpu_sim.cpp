@@ -36,7 +36,6 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
   const bool swiq_path = opts_.gpu_input_construction && opts_.sliding_window;
   SlidingWindowQueue queue(opts_.context_length, opts_.batch_n, dev_, copy_stream,
                            /*account_costs=*/swiq_path);
-  ContextScratch scratch;
   std::vector<std::int32_t> sink_window;  // materialised window for batch_sink
 
   if (opts_.record_predictions) out.predictions.reserve(out.instructions);
@@ -85,7 +84,7 @@ SimOutput GpuSimulator::run(const trace::EncodedTrace& trace, std::size_t begin,
 
     // The step's window, in place over the queue's resident rows and
     // retire clocks; its modeled construction cost is charged below.
-    const LazyWindow lw = queue.view(cur, scratch);
+    const LazyWindow lw = queue.view(cur);
     const std::size_t ctx = lw.context_count();
     occupancy_sum += static_cast<double>(ctx) / static_cast<double>(rows - 1);
     if (opts_.record_context_counts) {

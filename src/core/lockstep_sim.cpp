@@ -26,21 +26,21 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
   const std::size_t G = std::min(opts_.num_gpus, P);
   const std::size_t per_gpu = (P + G - 1) / G;
   const std::size_t rows = opts_.context_length + 1;
-  const std::size_t cap = opts_.context_length;
   const std::size_t W = trace::kNumFeatures;
 
   res.boundaries = partition_boundaries(n, P);
   auto gpu_of = [&](std::size_t p) { return p / per_gpu; };
 
   // Per-partition state.
-  std::vector<std::uint64_t> ring(P * cap, 0);
-  std::vector<std::uint64_t> clock(P, 0), clock_at_body(P, 0);
+  std::vector<RetireRing> lanes(P, RetireRing(opts_.context_length));
+  std::vector<std::uint64_t> clock_at_body(P, 0);
   std::vector<std::size_t> cur(P), begin(P), end(P), h_begin(P);
   for (std::size_t p = 0; p < P; ++p) {
     begin[p] = res.boundaries[p];
     end[p] = res.boundaries[p + 1];
     h_begin[p] = begin[p] >= opts_.warmup ? begin[p] - opts_.warmup : 0;
     cur[p] = h_begin[p];
+    lanes[p].reset(h_begin[p]);
     res.warmup_instructions += begin[p] - h_begin[p];
   }
 
@@ -58,7 +58,6 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
   RunningStats occupancy;
 
   // Batch scratch.
-  ContextScratch scratch;
   std::vector<std::int32_t> windows(P * rows * W);
   std::vector<std::uint64_t> indices(P);
   std::vector<std::uint32_t> owner(P);
@@ -71,9 +70,8 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
     for (std::size_t p = 0; p < P; ++p) {
       if (cur[p] >= end[p]) continue;
       const std::size_t i = cur[p];
-      if (i == begin[p]) clock_at_body[p] = clock[p];
-      const LazyWindow lw(tr, i, h_begin[p], ring.data() + p * cap, cap, clock[p],
-                          rows, scratch);
+      if (i == begin[p]) clock_at_body[p] = lanes[p].clock();
+      const LazyWindow lw = lanes[p].view(tr, i);
       const std::size_t head_limit =
           correcting ? std::min(opts_.correction_limit + 1, end[p] - begin[p]) : 0;
       const std::size_t cnt = lw.context_count();
@@ -102,13 +100,13 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
       const std::size_t p = owner[j];
       const std::size_t i = static_cast<std::size_t>(indices[j]);
       const LatencyPrediction pr = preds[j];
-      retire_step(ring.data() + p * cap, cap, i, pr, clock[p]);
+      lanes[p].retire(pr);
       if (i >= begin[p]) {
         fetch_lat[i] = pr.fetch;
         if (opts_.record_predictions) res.predictions[i] = pr;
       }
       if (++cur[p] == end[p]) {
-        partition_cycles[p] = clock[p] - clock_at_body[p];
+        partition_cycles[p] = lanes[p].clock() - clock_at_body[p];
         --active;
       }
     }
@@ -121,13 +119,12 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
       const std::size_t b = begin[p];
       const std::size_t head_limit =
           std::min(opts_.correction_limit + 1, end[p] - b);
-      std::uint64_t cclock = clock[p - 1];
-      std::uint64_t* prev_ring = ring.data() + (p - 1) * cap;
+      // Continues the previous lane, which ended where partition p begins.
+      RetireRing& prev = lanes[p - 1];
       std::size_t corrected = 0;
       for (std::size_t j = 0; j < head_limit && b + j < end[p]; ++j) {
         const std::size_t i = b + j;
-        const LazyWindow lw(tr, i, h_begin[p - 1], prev_ring, cap, cclock, rows,
-                            scratch);
+        const LazyWindow lw = prev.view(tr, i);
         const std::size_t cnt = lw.context_count();
         if (cnt == head_counts[p][j]) break;
         const LatencyPrediction pr = predictor_.predict_lazy(lw);
@@ -138,7 +135,7 @@ ParallelSimResult LockstepParallelSimulator::run(const trace::EncodedTrace& tr) 
         if (opts_.record_context_counts) {
           res.context_counts[i] = static_cast<std::uint16_t>(cnt);
         }
-        retire_step(prev_ring, cap, i, pr, cclock);
+        prev.retire(pr);
         ++corrected;
       }
       res.corrected_instructions += corrected;

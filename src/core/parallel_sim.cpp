@@ -123,6 +123,9 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
                   ck.gpu_lost.size() == G,
               "checkpoint shape mismatch: " + opts_.checkpoint_path.string());
         const std::size_t prefix = res.boundaries[ck.next_partition];
+        check(ck.prev_ring.empty() || ck.prev_oldest <= prefix,
+              "checkpoint ring history starts past its partition: " +
+                  opts_.checkpoint_path.string());
         if (opts_.record_predictions) {
           check(ck.predictions.size() == 3 * prefix,
                 "checkpoint prediction prefix mismatch: " +
@@ -146,9 +149,12 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
       engine.retries = ck.retries;
       engine.backoff_us = ck.backoff_us;
       engine.occupancy = RunningStats::restore(ck.occupancy);
-      engine.prev_clock = ck.prev_clock;
-      engine.prev_oldest = ck.prev_oldest;
-      engine.prev_ring = ck.prev_ring;
+      if (!ck.prev_ring.empty()) {
+        // The one full counting pass: rebuilds the in-flight tracker.
+        engine.prev.emplace(cap);
+        engine.prev->restore(ck.prev_ring, ck.prev_clock, ck.prev_oldest,
+                             res.boundaries[start_p]);
+      }
       std::copy(ck.partition_cycles.begin(), ck.partition_cycles.end(),
                 engine.partition_cycles.begin());
       for (std::size_t p = 0; p < P; ++p) {
@@ -192,9 +198,12 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
     ck.retries = engine.retries;
     ck.backoff_us = engine.backoff_us;
     ck.occupancy = engine.occupancy.state();
-    ck.prev_clock = engine.prev_clock;
-    ck.prev_oldest = engine.prev_oldest;
-    ck.prev_ring = engine.prev_ring;
+    if (engine.prev) {
+      ck.prev_clock = engine.prev->clock();
+      ck.prev_oldest = engine.prev->oldest();
+      ck.prev_ring.assign(engine.prev->slots().begin(),
+                          engine.prev->slots().end());
+    }
     ck.partition_cycles = engine.partition_cycles;
     ck.partition_steps.assign(engine.partition_steps.begin(),
                               engine.partition_steps.end());

@@ -16,11 +16,10 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
   check(begin <= end && end <= trace.size(), "simulation range out of bounds");
 
   const std::size_t rows = opts_.context_length + 1;
-  const std::size_t cap = opts_.context_length;  // retire-ring capacity
   const CostModel& cm = opts_.costs;
-  std::vector<std::uint64_t> ring(cap, 0);
-  std::uint64_t clock = 0, last_retire = 0;
-  ContextScratch scratch;
+  RetireRing ring(opts_.context_length);
+  ring.reset(begin);
+  std::uint64_t last_retire = 0;
   std::vector<std::int32_t> sink_window;  // materialised window for batch_sink
 
   SimOutput out;
@@ -35,7 +34,7 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
   for (std::size_t i = begin; i < end; ++i) {
     if (opts_.cancel != nullptr) opts_.cancel->check();
     // The modeled flow copies the window; the host reads it in place.
-    const LazyWindow lw(trace, i, begin, ring.data(), cap, clock, rows, scratch);
+    const LazyWindow lw = ring.view(trace, i);
     if (opts_.record_context_counts) {
       out.context_counts.push_back(static_cast<std::uint16_t>(lw.context_count()));
     }
@@ -57,13 +56,13 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
       p = predictor_.predict_lazy(lw);
     }
     // Update + retire (host in the baseline flow).
-    last_retire = std::max(last_retire, retire_step(ring.data(), cap, i, p, clock));
+    last_retire = std::max(last_retire, ring.retire(p));
     acc.update_retire += cm.host_update_retire_us;
 
     if (opts_.record_predictions) out.predictions.push_back(p);
   }
 
-  out.cycles = std::max(clock, last_retire);  // includes the drain
+  out.cycles = std::max(ring.clock(), last_retire);  // includes the drain
   out.sim_time_us = acc.total();
   const double n = static_cast<double>(out.instructions ? out.instructions : 1);
   out.profile = {acc.queue_push / n, acc.input_construct / n, acc.h2d / n,

@@ -68,7 +68,11 @@ ShardPlan ShardPlan::make(std::size_t n, const ParallelSimOptions& opts) {
 ShardEngine::ShardEngine(LatencyPredictor& predictor,
                          const trace::EncodedTrace& trace,
                          const ParallelSimOptions& opts, const ShardPlan& plan)
-    : predictor_(predictor), trace_(trace), opts_(opts), plan_(plan) {
+    : predictor_(predictor),
+      trace_(trace),
+      opts_(opts),
+      plan_(plan),
+      ring_(opts.context_length) {
   faults_ = (opts_.faults != nullptr && opts_.faults->enabled()) ? opts_.faults
                                                                  : nullptr;
   const std::size_t P = plan_.parts;
@@ -79,7 +83,6 @@ ShardEngine::ShardEngine(LatencyPredictor& predictor,
   degraded.assign(P, 0);
   failed.assign(P, 0);
   gpu_lost.assign(plan_.gpus, 0);
-  ring_.assign(opts_.context_length, 0);
   fetch_lat_.assign(plan_.instructions, 0);
   if (opts_.post_error_correction) head_counts_.resize(P);
   if (opts_.record_predictions) predictions.resize(plan_.instructions);
@@ -105,7 +108,6 @@ void ShardEngine::run_partition(std::size_t p) {
   MLSIM_TRACE_SPAN("parallel_sim/partition");
   MLSIM_HIST_TIMER(obs::names::kParSimPartitionNs);
   const std::size_t rows = opts_.context_length + 1;
-  const std::size_t cap = opts_.context_length;  // retire-ring capacity
   const std::uint32_t limit = opts_.anomaly_latency_limit;
   const bool correcting = opts_.post_error_correction;
   const std::size_t b = plan_.boundaries[p], e = plan_.boundaries[p + 1];
@@ -113,7 +115,6 @@ void ShardEngine::run_partition(std::size_t p) {
   const std::size_t head_limit =
       correcting ? std::min(opts_.correction_limit + 1, e - b) : 0;
 
-  std::uint64_t clock = 0;
   std::size_t attempt = 0;
 
   for (;;) {  // attempt loop: body + re-warmup until an attempt survives
@@ -144,7 +145,7 @@ void ShardEngine::run_partition(std::size_t p) {
       head_counts_[p].clear();
       head_counts_[p].reserve(head_limit);
     }
-    clock = 0;
+    ring_.reset(h_begin);
     std::uint64_t clock_at_body = 0;
     LatencyPredictor& active = degraded[p] ? *opts_.fallback : predictor_;
     const bool corrupting = faults_ != nullptr && !degraded[p] &&
@@ -153,9 +154,8 @@ void ShardEngine::run_partition(std::size_t p) {
 
     for (std::size_t i = h_begin; i < e; ++i) {
       if (opts_.cancel != nullptr) opts_.cancel->check();
-      if (i == b) clock_at_body = clock;
-      const LazyWindow lw(trace_, i, h_begin, ring_.data(), cap, clock, rows,
-                          scratch_);
+      if (i == b) clock_at_body = ring_.clock();
+      const LazyWindow lw = ring_.view(trace_, i);
       const std::size_t cnt = lw.context_count();
       if ((i & 63) == 0) {
         occupancy.add(static_cast<double>(cnt) /
@@ -199,7 +199,7 @@ void ShardEngine::run_partition(std::size_t p) {
         anomaly = true;
         break;
       }
-      retire_step(ring_.data(), cap, i, pr, clock);
+      ring_.retire(pr);
       if (i >= b) {
         fetch_lat_[i] = pr.fetch;
         if (opts_.record_predictions) predictions[i] = pr;
@@ -209,7 +209,7 @@ void ShardEngine::run_partition(std::size_t p) {
       charge_retry(p, attempt, "anomalous inference output");
       continue;
     }
-    partition_cycles[p] = clock - clock_at_body;
+    partition_cycles[p] = ring_.clock() - clock_at_body;
     break;
   }
   final_attempt[p] = static_cast<std::uint32_t>(attempt);
@@ -217,17 +217,15 @@ void ShardEngine::run_partition(std::size_t p) {
 
   // ---- Post-error correction of this partition's head -----------------------
   if (correcting && p > 0 && plan_.gpu_of(p) == plan_.gpu_of(p - 1) &&
-      !prev_ring.empty()) {
+      prev.has_value()) {
     MLSIM_TRACE_SPAN("parallel_sim/correction");
     // Corrections belong to this partition's predictions, so a degraded
     // partition is corrected by its fallback predictor too.
     LatencyPredictor& corr_pred = degraded[p] ? *opts_.fallback : predictor_;
     std::size_t corrected = 0;
-    std::uint64_t cclock = prev_clock;
     for (std::size_t j = 0; j < head_limit && b + j < e; ++j) {
       const std::size_t i = b + j;
-      const LazyWindow lw(trace_, i, prev_oldest, prev_ring.data(), cap, cclock,
-                          rows, scratch_);
+      const LazyWindow lw = prev->view(trace_, i);
       const std::size_t cnt = lw.context_count();
       if (cnt == head_counts_[p][j]) break;  // contexts converged
       LatencyPrediction pr;
@@ -245,7 +243,7 @@ void ShardEngine::run_partition(std::size_t p) {
       if (opts_.record_context_counts) {
         context_counts[i] = static_cast<std::uint16_t>(cnt);
       }
-      retire_step(prev_ring.data(), cap, i, pr, cclock);
+      prev->retire(pr);
       ++corrected;
     }
     corrected_instructions += corrected;
@@ -253,11 +251,7 @@ void ShardEngine::run_partition(std::size_t p) {
   }
 
   // Snapshot this partition's end state for correcting the next one.
-  if (opts_.post_error_correction) {
-    prev_ring = ring_;
-    prev_clock = clock;
-    prev_oldest = b >= opts_.warmup ? b - opts_.warmup : 0;
-  }
+  if (opts_.post_error_correction) prev = ring_;
   MLSIM_COUNTER_ADD(obs::names::kParSimPartitionsDone, 1);
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/stats.h"
@@ -114,9 +115,9 @@ class ShardEngine {
   std::vector<std::uint8_t> degraded;         // running on the fallback
   std::vector<std::uint8_t> failed;           // hit by a device kill
   std::vector<std::uint8_t> gpu_lost;         // slots killed mid-run (size G)
-  std::vector<std::uint64_t> prev_ring;  // end-of-previous-partition snapshot
-  std::uint64_t prev_clock = 0;
-  std::size_t prev_oldest = 0;
+  /// End-of-previous-partition ring (empty until a partition has run with
+  /// correction on); the correction of the next partition continues it.
+  std::optional<RetireRing> prev;
 
   RunningStats occupancy;  // sampled context occupancy (drives the cost model)
   double backoff_us = 0.0;
@@ -143,8 +144,7 @@ class ShardEngine {
 
   std::vector<std::uint32_t> fetch_lat_;
   std::vector<std::vector<std::uint16_t>> head_counts_;
-  std::vector<std::uint64_t> ring_;
-  ContextScratch scratch_;                 // the step's LazyWindow scan
+  RetireRing ring_;
   std::vector<std::int32_t> sink_window_;  // materialised window for batch_sink
 };
 

@@ -17,22 +17,29 @@ WindowDataset::WindowDataset(const trace::EncodedTrace& labeled,
                              std::size_t window_rows)
     : trace_(labeled), rows_(window_rows) {
   check(labeled.labeled(), "WindowDataset needs ground-truth targets");
+  check(window_rows > 1, "a window needs at least one context row");
   const std::size_t n = labeled.size();
+  const std::size_t ctx = window_rows - 1;
   retire_.resize(n);
   clock_.resize(n);
-  std::uint64_t clock = 0;
+  in_flight_.resize(n);
+  // Replay the ground truth once, recording each step's Clock (before it
+  // advances) and tracked in-flight count.
+  InFlightTracker tracker(ctx);
   for (std::size_t i = 0; i < n; ++i) {
     const auto t = labeled.targets(i);
-    clock_[i] = clock;  // Clock at prediction time (before advancing)
-    retire_[i] = clock + t[0] + t[1] + t[2];
-    clock += t[0];
+    clock_[i] = tracker.clock();
+    in_flight_[i] = static_cast<std::uint32_t>(tracker.count());
+    retire_[i] =
+        tracker.retire({t[0], t[1], t[2]}, i >= ctx ? retire_[i - ctx] : 0);
   }
 }
 
 void WindowDataset::window(std::size_t i, std::vector<std::int32_t>& out) const {
-  ContextScratch scratch;
-  const LazyWindow lw(trace_, i, /*oldest=*/0, retire_.data(), retire_.size(),
-                      clock_[i], rows_, scratch);
+  check(i < size(), "window index out of range");
+  const LazyWindow lw(trace_.raw_features().data() + i * trace::kNumFeatures,
+                      retire_.data() + i, -1, std::min(rows_ - 1, i), clock_[i],
+                      in_flight_[i], i, rows_);
   lw.materialize(out);
 }
 

@@ -64,6 +64,7 @@ class WindowDataset {
   std::size_t rows_;
   std::vector<std::uint64_t> retire_;  // per instruction, absolute cycles
   std::vector<std::uint64_t> clock_;   // Clock when instruction i is predicted
+  std::vector<std::uint32_t> in_flight_;  // context count of window i
 };
 
 /// Per-feature normalisation: 1 / max observed value (>= 1) per slot.

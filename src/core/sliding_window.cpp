@@ -21,8 +21,8 @@ SlidingWindowQueue::SlidingWindowQueue(std::size_t context_length,
       copy_stream_(copy_stream),
       account_costs_(account_costs),
       buf_((context_length + 1 + batch_n) * trace::kNumFeatures),
-      retire_clock_(context_length + 1 + batch_n, 0) {
-  check(context_length > 0, "context length must be positive");
+      retire_clock_(context_length + 1 + batch_n, 0),
+      tracker_(context_length) {  // checks context_length > 0
   check(batch_n > 0, "batch size must be positive");
 }
 
@@ -35,8 +35,11 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
     // Compact: the next instruction's context candidates are the rows
     // [pos_, pos_+ctx). Move them — relative positions preserved — to the
     // tail [cap-ctx, cap). dst > src for every row, so copy back-to-front.
+    // Only in-flight rows carry their features along: a retired row stays
+    // retired (the Clock only advances), so its features are never read
+    // again.
     const std::size_t dst0 = capacity_rows() - ctx_len_;
-    std::size_t live = 0;
+    const std::uint64_t clock = tracker_.clock();
     for (std::size_t r = ctx_len_; r-- > 0;) {
       const std::size_t src = pos_ + r;
       const std::size_t dst = dst0 + r;
@@ -44,14 +47,18 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
         retire_clock_[dst] = 0;  // candidate beyond history: stays padding
         continue;
       }
-      if (retire_clock_[src] > clock_) ++live;
-      std::memcpy(buf_.data() + dst * trace::kNumFeatures,
-                  buf_.data() + src * trace::kNumFeatures, kRowBytes);
+      if (retire_clock_[src] > clock) {
+        std::memcpy(buf_.data() + dst * trace::kNumFeatures,
+                    buf_.data() + src * trace::kNumFeatures, kRowBytes);
+      }
       retire_clock_[dst] = retire_clock_[src];
     }
-    // Device cost: only live rows are actually moved by the compaction
-    // kernel (the paper skips copying retired instructions).
-    if (account_costs_) dev_.launch(copy_stream_, 2 * live * kRowBytes, 0, nullptr);
+    // Device cost: only live rows — the tracked in-flight candidates — are
+    // actually moved by the compaction kernel (the paper skips copying
+    // retired instructions).
+    if (account_costs_) {
+      dev_.launch(copy_stream_, 2 * tracker_.count() * kRowBytes, 0, nullptr);
+    }
   }
   primed_ = true;
 
@@ -75,45 +82,41 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
   return m;
 }
 
-LazyWindow SlidingWindowQueue::view(std::uint64_t global_index,
-                                    ContextScratch& scratch) {
+LazyWindow SlidingWindowQueue::view(std::uint64_t global_index) {
   check(remaining_ > 0, "window built with no staged instruction");
   check(!pending_, "window built twice without apply_prediction");
   pending_ = true;
   // Row r of the window is storage row pos_ + r; rows past the end of the
   // storage are padding.
   return LazyWindow(buf_.data() + pos_ * trace::kNumFeatures,
-                    retire_clock_.data() + pos_, capacity_rows() - 1 - pos_,
-                    global_index, clock_, ctx_len_ + 1, scratch);
+                    retire_clock_.data() + pos_, 1,
+                    std::min(ctx_len_, capacity_rows() - 1 - pos_),
+                    tracker_.clock(), tracker_.count(), global_index,
+                    ctx_len_ + 1);
 }
 
 void SlidingWindowQueue::build_window(std::vector<std::int32_t>& out) {
-  view(0, scratch_).materialize(out);
+  view(0).materialize(out);
 }
 
 std::int32_t SlidingWindowQueue::remaining_latency(std::size_t r) const {
-  if (r >= capacity_rows() || retire_clock_[r] <= clock_) return 0;
+  const std::uint64_t clock = tracker_.clock();
+  if (r >= capacity_rows() || retire_clock_[r] <= clock) return 0;
   return static_cast<std::int32_t>(
-      std::min<std::uint64_t>(retire_clock_[r] - clock_, kMaxLatencyEntry));
-}
-
-std::size_t SlidingWindowQueue::context_count() const {
-  std::size_t n = 0;
-  for (std::size_t r = 1; r <= ctx_len_; ++r) {
-    const std::size_t s = pos_ + r;
-    if (s >= capacity_rows()) break;
-    n += retire_clock_[s] > clock_;
-  }
-  return n;
+      std::min<std::uint64_t>(retire_clock_[r] - clock, kMaxLatencyEntry));
 }
 
 void SlidingWindowQueue::apply_prediction(const LatencyPrediction& p) {
   check(pending_, "apply_prediction without a window for the step");
   pending_ = false;
 
-  retire_clock_[pos_] = clock_ + p.fetch + p.exec + p.store;
+  // The window slides by one row: storage row pos_ + ctx (the oldest
+  // context row) leaves it, whether or not this step moves pos_.
+  const std::size_t aging = pos_ + ctx_len_;
+  const std::uint64_t leaving =
+      aging < capacity_rows() ? retire_clock_[aging] : 0;
+  retire_clock_[pos_] = tracker_.retire(p, leaving);
   last_retire_ = std::max(last_retire_, retire_clock_[pos_]);
-  clock_ += p.fetch;
 
   --remaining_;
   if (remaining_ > 0) --pos_;
@@ -123,14 +126,14 @@ void SlidingWindowQueue::reset() {
   std::fill(retire_clock_.begin(), retire_clock_.end(), 0);
   pos_ = 0;
   remaining_ = 0;
-  clock_ = 0;
+  tracker_.reset();
   last_retire_ = 0;
   pending_ = false;
   primed_ = false;
 }
 
 std::uint64_t SlidingWindowQueue::total_cycles_with_drain() const {
-  return std::max(clock_, last_retire_);
+  return std::max(tracker_.clock(), last_retire_);
 }
 
 }  // namespace mlsim::core

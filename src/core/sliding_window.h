@@ -14,7 +14,8 @@
 // instruction (staged, padding), since 0 is never > Clock. The step's
 // window is a LazyWindow over these two arrays (view()); materialised
 // windows inject the remaining-latency entries and zero retired rows,
-// exactly matching InstructionQueue.
+// exactly matching InstructionQueue. The in-flight count is tracked
+// incrementally (InFlightTracker) as instructions retire and slide out.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ class SlidingWindowQueue {
 
   std::size_t context_length() const { return ctx_len_; }
   std::size_t batch_n() const { return batch_n_; }
-  std::uint64_t clock() const { return clock_; }
+  std::uint64_t clock() const { return tracker_.clock(); }
   std::uint64_t last_retire_clock() const { return last_retire_; }
 
   /// True when all staged instructions have been consumed and a new batch
@@ -51,7 +52,7 @@ class SlidingWindowQueue {
   /// The inference window for the current instruction (trace index
   /// `global_index`), in place over the queue's storage and retire clocks.
   /// Starts the step like build_window; valid until apply_prediction.
-  LazyWindow view(std::uint64_t global_index, ContextScratch& scratch);
+  LazyWindow view(std::uint64_t global_index);
 
   /// Materialise the inference window for the current instruction into
   /// `out` (ctx_len+1 rows). Identical output to
@@ -59,14 +60,13 @@ class SlidingWindowQueue {
   void build_window(std::vector<std::int32_t>& out);
 
   /// In-flight population among the context candidates.
-  std::size_t context_count() const;
+  std::size_t context_count() const { return tracker_.count(); }
 
   /// Record the prediction for the current instruction, advance the Clock
   /// and slide the window by one.
   void apply_prediction(const LatencyPrediction& p);
 
   void reset();
-  void set_clock(std::uint64_t clock) { clock_ = clock; }
   std::uint64_t total_cycles_with_drain() const;
 
   /// Raw queue storage (device buffer) — exposed for the custom convolution
@@ -88,10 +88,9 @@ class SlidingWindowQueue {
 
   device::DeviceBuffer<std::int32_t> buf_;      // capacity_rows x kNumFeatures
   std::vector<std::uint64_t> retire_clock_;     // per storage row; 0 = empty
-  ContextScratch scratch_;                      // build_window's view
+  InFlightTracker tracker_;                     // Clock + in-flight count
   std::size_t pos_ = 0;        // current-instruction row (window start)
   std::size_t remaining_ = 0;  // staged instructions not yet simulated
-  std::uint64_t clock_ = 0;
   std::uint64_t last_retire_ = 0;
   bool pending_ = false;
   bool primed_ = false;  // first refill done

@@ -20,10 +20,8 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
   if (total_instructions == 0) return res;
 
   const std::size_t rows = context_length + 1;
-  const std::size_t cap = context_length;
-  std::vector<std::uint64_t> ring(cap, 0);
-  std::uint64_t clock = 0;
-  ContextScratch scratch;
+  RetireRing ring(context_length);
+  ring.reset(0);
 
   trace::EncodedTrace buf(stream.benchmark());
   std::size_t local = 0;  // next buffer row to simulate
@@ -46,8 +44,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
       MLSIM_HIST_TIMER(obs::names::kStreamPredictNs);
       for (; local < buf.size(); ++local) {
         if (cancel != nullptr) cancel->check();
-        const LazyWindow lw(buf, local, /*oldest=*/0, ring.data(), cap, clock,
-                            rows, scratch);
+        const LazyWindow lw = ring.view(buf, local);
         LatencyPrediction p;
         if (batch_sink != nullptr) {
           lw.materialize(sink_window);
@@ -56,7 +53,7 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
         } else {
           p = predictor.predict_lazy(lw);
         }
-        retire_step(ring.data(), cap, local, p, clock);
+        ring.retire(p);
         res.predicted_cycles += p.fetch;
         res.truth_cycles += buf.targets(local)[0];
         ++res.instructions;
@@ -64,17 +61,14 @@ StreamingResult simulate_stream(LatencyPredictor& predictor,
     }
     MLSIM_COUNTER_ADD(obs::names::kStreamChunks, 1);
 
-    // Compact: keep at least the context window; drop a multiple of the
-    // ring capacity so (index % cap) stays aligned across the shift.
+    // Compact: keep only the context window the next view reads. The ring
+    // follows program order by itself, so buffer rows may be renumbered.
     if (buf.size() > context_length) {
-      const std::size_t drop =
-          (buf.size() - context_length) / cap * cap;
-      if (drop > 0) {
-        buf = buf.slice(drop, buf.size());
-        local -= drop;
-        MLSIM_GAUGE_SET(obs::names::kStreamRowsResident,
-                        static_cast<double>(buf.size()));
-      }
+      const std::size_t drop = buf.size() - context_length;
+      buf = buf.slice(drop, buf.size());
+      local -= drop;
+      MLSIM_GAUGE_SET(obs::names::kStreamRowsResident,
+                      static_cast<double>(buf.size()));
     }
   }
   MLSIM_COUNTER_ADD(obs::names::kStreamInstructions, res.instructions);

@@ -1,6 +1,7 @@
 #include "dist/journal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -35,8 +36,12 @@ RunJournal::~RunJournal() { close(); }
 
 void RunJournal::open(const std::filesystem::path& path) {
   close();
+  // A crashed predecessor may have left a torn record at the tail. Replay
+  // stops at the first bad byte, so records appended after it would never
+  // be read again: cut the file back to its intact prefix first.
+  const std::size_t torn = replay(path, /*strict=*/false).dropped_bytes;
   // O_APPEND keeps every record write atomic w.r.t. the file offset; there
-  // is exactly one writer, but a crashed predecessor's tail may precede us.
+  // is exactly one writer.
   int fd = -1;
   do {
     fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
@@ -45,6 +50,14 @@ void RunJournal::open(const std::filesystem::path& path) {
   if (fd < 0) throw IoError(journal_errno("open", path));
   fd_ = fd;
   path_ = path;
+  if (torn > 0) {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) throw IoError(journal_errno("fstat", path_));
+    if (::ftruncate(fd_, st.st_size - static_cast<off_t>(torn)) != 0 ||
+        ::fsync(fd_) != 0) {
+      throw IoError(journal_errno("truncate", path_));
+    }
+  }
 }
 
 void RunJournal::close() {

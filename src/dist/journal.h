@@ -7,7 +7,8 @@
 // checksummed wire envelope (common/wire.h) appended and fsynced before the
 // coordinator acts on the event it describes, so a SIGKILL at any instant
 // loses at most the record being written — and that torn tail is caught by
-// the envelope's length/checksum pair on replay.
+// the envelope's length/checksum pair on replay, and cut off when the
+// journal is next opened for append.
 //
 // Replay mirrors the checkpoint taxonomy (src/core/checkpoint.*): a missing
 // journal is simply "nothing to resume", a corrupt or truncated tail is
@@ -80,8 +81,9 @@ class RunJournal {
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
 
-  /// Open (creating if absent) for append. Throws IoError on filesystem
-  /// failure.
+  /// Open (creating if absent) for append, first truncating a torn tail
+  /// (what lenient replay drops) so new records follow the last intact
+  /// one. Throws IoError on filesystem failure.
   void open(const std::filesystem::path& path);
   bool enabled() const { return fd_ >= 0; }
   void close();

@@ -4,6 +4,8 @@
 // the custom convolution layer against the dense reference convolution.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.h"
 #include "core/analytic_predictor.h"
 #include "core/custom_conv.h"
@@ -137,10 +139,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{5},
                                          std::size_t{16})));
 
-// Per-row reference definition of a ring view, the one LazyWindow's
-// single scan must reproduce: row r is instruction current-r, padding when
-// older than `oldest`, in flight iff its ring retire clock is > Clock, and
-// clamped to kMaxLatencyEntry.
+// Per-row reference definition of a ring view, the one RetireRing's views
+// must reproduce: row r is instruction current-r, padding when older than
+// `oldest`, in flight iff its ring retire clock is > Clock, and clamped to
+// kMaxLatencyEntry. `ring` is the test's own copy of the retire clocks.
 std::int32_t reference_remaining(std::uint64_t current, std::uint64_t oldest,
                                  const std::vector<std::uint64_t>& ring,
                                  std::uint64_t clock, std::size_t rows,
@@ -152,18 +154,19 @@ std::int32_t reference_remaining(std::uint64_t current, std::uint64_t oldest,
       std::min<std::uint64_t>(retire - clock, kMaxLatencyEntry));
 }
 
-// Two partitions share one retire ring without a reset, as ShardEngine runs
-// them: the second starts its Clock at 0 with a warm-up history (oldest > 0)
-// while the ring still holds the first partition's retire clocks, which
-// exceed the new Clock. The ring wraps every `cap` instructions, and every
-// 97th instruction's huge execute latency drives the kMaxLatencyEntry clamp.
-void expect_lazy_matches_reference(std::size_t ctx, std::size_t cap) {
+// Two partitions share one retire ring without a reset of its clocks, as
+// ShardEngine runs them: the second starts its Clock at 0 with a warm-up
+// history (oldest > 0) while the ring still holds the first partition's
+// retire clocks, which exceed the new Clock. The ring wraps every `ctx`
+// instructions, and every 97th instruction's huge execute latency drives
+// the kMaxLatencyEntry clamp.
+void expect_lazy_matches_reference(std::size_t ctx) {
   const std::size_t rows = ctx + 1;
   trace::EncodedTrace tr = small_trace("xz", 1500);
   AnalyticPredictor pred;
 
-  std::vector<std::uint64_t> ring(cap, 0);
-  ContextScratch scratch;
+  RetireRing ring(ctx);
+  std::vector<std::uint64_t> shadow(ctx, 0);
   std::vector<std::int32_t> wr, wl, wt(rows * trace::kNumFeatures);
   struct Partition {
     std::size_t oldest, end;
@@ -171,15 +174,15 @@ void expect_lazy_matches_reference(std::size_t ctx, std::size_t cap) {
   for (const Partition part : {Partition{0, 700}, Partition{640, 1500}}) {
     InstructionQueue ref(ctx);  // fed from `oldest`: the warm-up history
     std::uint64_t clock = 0;
+    ring.reset(part.oldest);
     for (std::size_t i = part.oldest; i < part.end; ++i) {
       const std::size_t ref_count_before = ref.context_count();
       ref.push_and_build(tr.features(i), wr);
-      const LazyWindow lw(tr, i, part.oldest, ring.data(), ring.size(), clock,
-                          rows, scratch);
+      const LazyWindow lw = ring.view(tr, i);
       std::size_t live = 0;
       for (std::size_t r = 0; r <= rows; ++r) {
         const std::int32_t want =
-            reference_remaining(i, part.oldest, ring, clock, rows, r);
+            reference_remaining(i, part.oldest, shadow, clock, rows, r);
         ASSERT_EQ(lw.remaining(r), want) << "row " << r << " at " << i;
         live += want > 0;
       }
@@ -196,7 +199,10 @@ void expect_lazy_matches_reference(std::size_t ctx, std::size_t cap) {
       if (i % 97 == 0) p.exec += 100000;
 
       ref.apply_prediction(p);
-      retire_step(ring.data(), ring.size(), i, p, clock);
+      shadow[i % ctx] = ring.retire(p);
+      ASSERT_EQ(shadow[i % ctx], clock + p.fetch + p.exec + p.store);
+      clock += p.fetch;
+      ASSERT_EQ(ring.clock(), clock);
       ASSERT_EQ(ref.clock(), clock);
     }
   }
@@ -204,13 +210,232 @@ void expect_lazy_matches_reference(std::size_t ctx, std::size_t cap) {
 
 TEST(LazyWindowEquivalence, MatchesReferenceQueueWindows) {
   for (const std::size_t ctx : {1, 16, 33, 64, 111}) {
-    // A ring of exactly the context length, and a larger one whose wrap
-    // falls at other rows.
-    for (const std::size_t cap : {ctx, ctx + 5}) {
-      SCOPED_TRACE("context " + std::to_string(ctx) + ", ring " +
-                   std::to_string(cap));
-      expect_lazy_matches_reference(ctx, cap);
-      if (HasFatalFailure()) return;
+    SCOPED_TRACE("context " + std::to_string(ctx));
+    expect_lazy_matches_reference(ctx);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// ------------------------------------------------ in-flight tracker --
+
+// Brute-force window over a retire history: the retire clocks of every
+// instruction retired since the last reset, oldest first. Row r of the next
+// window is the instruction retired r steps back (at most ctx); it is in
+// flight iff its retire clock is > Clock. Every query rescans.
+struct BruteWindow {
+  std::size_t ctx;
+  std::vector<std::uint64_t> retired;
+  std::uint64_t clock = 0;
+
+  std::int32_t remaining(std::size_t r) const {
+    if (r == 0 || r > ctx || r > retired.size()) return 0;
+    const std::uint64_t rc = retired[retired.size() - r];
+    if (rc <= clock) return 0;
+    return static_cast<std::int32_t>(
+        std::min<std::uint64_t>(rc - clock, kMaxLatencyEntry));
+  }
+  std::size_t count() const {
+    std::size_t n = 0;
+    for (std::size_t r = 1; r <= ctx; ++r) n += remaining(r) > 0;
+    return n;
+  }
+  void retire(const LatencyPrediction& p) {
+    retired.push_back(clock + p.fetch + p.exec + p.store);
+    clock += p.fetch;
+  }
+  void reset() {
+    retired.clear();
+    clock = 0;
+  }
+};
+
+std::uint32_t below(Rng& rng, std::uint64_t bound) {
+  return static_cast<std::uint32_t>(rng.next_below(bound));
+}
+
+// Ordinary latencies mixed with all-zero steps, latencies above
+// kMaxLatencyEntry and above 2^20, latencies just past the tracker's
+// calendar (entries that move into it while still in the window), and
+// Clock jumps both within and beyond the calendar.
+LatencyPrediction random_prediction(Rng& rng) {
+  constexpr auto span = static_cast<std::uint32_t>(InFlightTracker::kSpan);
+  switch (rng.next_below(16)) {
+    case 0:
+    case 1:
+      return {0, 0, 0};
+    case 2:
+      return {below(rng, 4), kMaxLatencyEntry + 1 + below(rng, 5000), 0};
+    case 3:
+      return {below(rng, 3), (1u << 20) + below(rng, 1u << 24),
+              rng.bernoulli(0.5) ? (1u << 21) : 0};
+    case 4:
+      return {below(rng, 4), span - 40 + below(rng, 200), below(rng, 2)};
+    case 5:
+      return {rng.bernoulli(0.5) ? 100 + below(rng, span)
+                                 : span + below(rng, 3000),
+              below(rng, 40), 0};
+    default:
+      return {below(rng, 5), below(rng, 40),
+              rng.bernoulli(0.2) ? below(rng, 60) : 0};
+  }
+}
+
+// Corrupted model outputs: latencies so large that the Clock never passes
+// them, so nothing ever pops off the tracker's heap on its own.
+LatencyPrediction garbage_prediction(Rng& rng) {
+  return {below(rng, 4), (1u << 30) + below(rng, 1u << 30),
+          below(rng, 1u << 30)};
+}
+
+void expect_view_matches(const LazyWindow& lw, const BruteWindow& bw) {
+  ASSERT_EQ(lw.rows(), bw.ctx + 1);
+  for (std::size_t r = 0; r <= bw.ctx + 1; ++r) {
+    ASSERT_EQ(lw.remaining(r), bw.remaining(r)) << "row " << r;
+  }
+  ASSERT_EQ(lw.context_count(), bw.count());
+}
+
+// One ring step: the view must equal the brute-force scan, then both retire
+// the same prediction. The tracker's heap never exceeds 2 x rows, and a
+// step with all three latencies zero leaves nothing behind in it.
+void step_ring(RetireRing& ring, BruteWindow& bw, const trace::EncodedTrace& tr,
+               std::size_t i, const LatencyPrediction& p) {
+  expect_view_matches(ring.view(tr, i), bw);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::size_t pending = ring.pending();
+  ring.retire(p);
+  bw.retire(p);
+  ASSERT_EQ(ring.clock(), bw.clock);
+  ASSERT_EQ(ring.context_count(), bw.count());
+  ASSERT_LE(ring.pending(), 2 * (bw.ctx + 1));
+  if (p == LatencyPrediction{}) {
+    ASSERT_LE(ring.pending(), pending);
+  }
+}
+
+constexpr std::size_t kTrackerContexts[] = {1, 2, 16, 64, 111};
+
+// A ring's tracked count and every remaining(r) equal a brute-force scan
+// at every step: across two partitions sharing the ring without clearing
+// its clocks (stale clocks above the new Clock), a post-error correction
+// continued from a copy of the ring, and a checkpoint restored in the
+// middle of a partition.
+TEST(InFlightTracker, RetireRingMatchesBruteForceScan) {
+  const trace::EncodedTrace tr = small_trace("xz", 1200);
+  for (const std::size_t ctx : kTrackerContexts) {
+    for (const std::uint64_t seed : {1ull, 2ull, 99ull}) {
+      SCOPED_TRACE("context " + std::to_string(ctx) + ", seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 131 + ctx);
+      RetireRing ring(ctx);
+      BruteWindow bw{ctx, {}, 0};
+
+      ring.reset(0);
+      for (std::size_t i = 0; i < 600; ++i) {
+        step_ring(ring, bw, tr, i, random_prediction(rng));
+        ASSERT_FALSE(HasFatalFailure()) << "partition 1 at " << i;
+      }
+
+      // Correction: the next partition's head re-simulated on a copy of the
+      // ring, with predictions of its own.
+      RetireRing corr = ring;
+      BruteWindow corr_bw = bw;
+      for (std::size_t i = 600; i < 660; ++i) {
+        step_ring(corr, corr_bw, tr, i, random_prediction(rng));
+        ASSERT_FALSE(HasFatalFailure()) << "correction at " << i;
+      }
+
+      // Second partition: warm-up history from 550, over clocks the first
+      // partition left in the ring.
+      ring.reset(550);
+      bw.reset();
+      std::optional<RetireRing> restored;
+      for (std::size_t i = 550; i < 1200; ++i) {
+        if (i == 560 || i == 800) {  // fewer, then more steps than ctx
+          restored.emplace(ctx);
+          restored->restore(ring.slots(), ring.clock(), ring.oldest(), i);
+          ASSERT_EQ(restored->context_count(), bw.count());
+        }
+        const LatencyPrediction p = random_prediction(rng);
+        if (restored) {
+          BruteWindow restored_bw = bw;
+          step_ring(*restored, restored_bw, tr, i, p);
+          ASSERT_FALSE(HasFatalFailure()) << "restored ring at " << i;
+        }
+        step_ring(ring, bw, tr, i, p);
+        ASSERT_FALSE(HasFatalFailure()) << "partition 2 at " << i;
+      }
+    }
+  }
+}
+
+// The streaming engine drops all but the last context-length rows from the
+// front of its buffer, so trace indices shift under a live ring.
+TEST(InFlightTracker, SurvivesStreamingIndexShift) {
+  const trace::EncodedTrace tr = small_trace("xz", 600);
+  for (const std::size_t ctx : kTrackerContexts) {
+    SCOPED_TRACE("context " + std::to_string(ctx));
+    Rng rng(ctx + 7);
+    RetireRing ring(ctx);
+    BruteWindow bw{ctx, {}, 0};
+    ring.reset(0);
+    std::size_t local = 0;
+    for (std::size_t step = 0; step < 1500; ++step, ++local) {
+      if (local + 1 >= tr.size() || (step % 97 == 96 && local > ctx)) {
+        local = ctx;
+      }
+      step_ring(ring, bw, tr, local, random_prediction(rng));
+      ASSERT_FALSE(HasFatalFailure()) << "step " << step;
+    }
+  }
+}
+
+// The sliding-window queue tracks the count across refills and compaction.
+TEST(InFlightTracker, SlidingWindowMatchesBruteForceScan) {
+  const trace::EncodedTrace tr = small_trace("mcf", 1500);
+  for (const std::size_t ctx : kTrackerContexts) {
+    for (const std::size_t batch_n : {1, 10, 64}) {
+      SCOPED_TRACE("context " + std::to_string(ctx) + ", batch " +
+                   std::to_string(batch_n));
+      Rng rng(ctx * 1000 + batch_n);
+      device::Device dev;
+      SlidingWindowQueue q(ctx, batch_n, dev, 0, /*account_costs=*/false);
+      BruteWindow bw{ctx, {}, 0};
+      std::size_t next = 0;
+      for (std::size_t i = 0; i < tr.size(); ++i) {
+        if (q.needs_refill()) {
+          next += q.refill(
+              tr.raw_features().data() + next * trace::kNumFeatures,
+              tr.size() - next);
+        }
+        ASSERT_EQ(q.context_count(), bw.count()) << "at " << i;
+        expect_view_matches(q.view(i), bw);
+        ASSERT_FALSE(HasFatalFailure()) << "at " << i;
+        const LatencyPrediction p = random_prediction(rng);
+        q.apply_prediction(p);
+        bw.retire(p);
+        ASSERT_EQ(q.clock(), bw.clock) << "at " << i;
+      }
+    }
+  }
+}
+
+// Garbage predictions never leave the window through the Clock; the heap
+// still stays within 2 x rows (asserted by step_ring), and the count stays
+// exact.
+TEST(InFlightTracker, GarbageLatenciesKeepHeapBounded) {
+  const trace::EncodedTrace tr = small_trace("xz", 2000);
+  for (const std::size_t ctx : kTrackerContexts) {
+    SCOPED_TRACE("context " + std::to_string(ctx));
+    Rng rng(ctx + 3);
+    RetireRing ring(ctx);
+    BruteWindow bw{ctx, {}, 0};
+    ring.reset(0);
+    for (std::size_t i = 0; i < tr.size(); ++i) {
+      const LatencyPrediction p =
+          rng.bernoulli(0.9) ? garbage_prediction(rng) : random_prediction(rng);
+      step_ring(ring, bw, tr, i, p);
+      ASSERT_FALSE(HasFatalFailure()) << "at " << i;
     }
   }
 }

@@ -213,6 +213,34 @@ TEST(RunJournal, TruncatedTailIsDroppedLenientlyAndFatalStrictly) {
   fs::remove(path);
 }
 
+TEST(RunJournal, TornTailIsCutBeforeAppending) {
+  // A coordinator killed mid-write leaves a torn record; the restarted one
+  // must append after the last intact record, or replay would stop at the
+  // tear and never see the new records.
+  const fs::path path = scratch_journal("torn_append");
+  {
+    RunJournal j;
+    j.open(path);
+    j.run_open(4, 0x4ULL, 4, RunConfig{});
+    j.result(4, result_frame(4, 0, 0));
+    j.result(4, result_frame(4, 1, 0));
+  }
+  fs::resize_file(path, fs::file_size(path) - 7);
+  {
+    RunJournal j;
+    j.open(path);
+    j.result(4, result_frame(4, 2, 0));
+    j.run_close(4, RunJournal::kStatusComplete);
+  }
+  const JournalReplay r = RunJournal::replay(path, /*strict=*/true);
+  EXPECT_FALSE(r.open_run);
+  EXPECT_EQ(r.close_status, RunJournal::kStatusComplete);
+  EXPECT_EQ(r.results.size(), 2u);  // shards 0 and 2; shard 1 was torn
+  EXPECT_EQ(r.results.count(1), 0u);
+  EXPECT_EQ(r.dropped_bytes, 0u);
+  fs::remove(path);
+}
+
 TEST(RunJournal, BitFlippedRecordIsCaughtByTheChecksum) {
   const fs::path path = scratch_journal("flip");
   {

@@ -111,9 +111,8 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
   core::InstructionQueue ref(ctx);
   device::Device dev;
   core::SlidingWindowQueue swq(ctx, batch_n, dev, 0);
-  std::vector<std::uint64_t> ring(ctx, 0);
-  std::uint64_t clock = 0;
-  core::ContextScratch scratch;
+  core::RetireRing ring(ctx);
+  ring.reset(0);
 
   std::vector<std::int32_t> wr, ws, wl;
   std::size_t next = 0;
@@ -124,9 +123,7 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
     }
     ref.push_and_build(tr.features(i), wr);
     swq.build_window(ws);
-    const core::LazyWindow lw(tr, i, 0, ring.data(), ring.size(), clock, ctx + 1,
-                              scratch);
-    lw.materialize(wl);
+    ring.view(tr, i).materialize(wl);
     ASSERT_EQ(wr, ws) << i;
     ASSERT_EQ(wr, wl) << i;
 
@@ -137,10 +134,9 @@ TEST_P(RandomPredictionFuzz, QueuesAgreeUnderRandomLatencies) {
         static_cast<std::uint32_t>(rng.bernoulli(0.2) ? rng.next_below(60) : 0)};
     ref.apply_prediction(p);
     swq.apply_prediction(p);
-    ring[i % ring.size()] = clock + p.fetch + p.exec + p.store;
-    clock += p.fetch;
+    ring.retire(p);
     ASSERT_EQ(ref.clock(), swq.clock()) << i;
-    ASSERT_EQ(ref.clock(), clock) << i;
+    ASSERT_EQ(ref.clock(), ring.clock()) << i;
   }
 }
 
