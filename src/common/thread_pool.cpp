@@ -11,6 +11,7 @@
 #ifdef __linux__
 #include <pthread.h>
 #endif
+#include <unistd.h>
 
 namespace mlsim {
 
@@ -29,7 +30,7 @@ void set_current_thread_name(std::size_t index) {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t n_threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity) {
+    : capacity_(queue_capacity), owner_pid_(static_cast<long>(::getpid())) {
   if (n_threads == 0) {
     n_threads = std::thread::hardware_concurrency();
     if (n_threads == 0) n_threads = 1;
@@ -61,6 +62,11 @@ ThreadPool::~ThreadPool() {
                     static_cast<double>(queue_.size()));
     run_task(task);
   }
+}
+
+std::size_t ThreadPool::size() const {
+  if (static_cast<long>(::getpid()) != owner_pid_) return 1;  // forked child
+  return workers_.size() + 1;
 }
 
 std::size_t ThreadPool::pending() const {

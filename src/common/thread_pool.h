@@ -43,7 +43,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size() + 1; }  // +1: caller thread
+  /// Threads that share parallel work: the workers plus the calling thread.
+  /// A child forked from the process that built the pool inherits none of
+  /// its worker threads, so there the pool is the calling thread alone.
+  std::size_t size() const;
 
   /// Tasks currently queued (not yet picked up by a worker).
   std::size_t pending() const;
@@ -89,6 +92,7 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
   std::size_t capacity_ = 0;    // 0 = unbounded
+  long owner_pid_ = 0;          // process whose threads are workers_
   std::size_t high_water_ = 0;  // max queue depth seen (under mu_)
 };
 

@@ -24,6 +24,7 @@ class AnalyticPredictor final : public LatencyPredictor {
   LatencyPrediction predict_lazy(const LazyWindow& window) override;
 
   std::size_t flops_per_window(std::size_t /*rows*/) const override { return 0; }
+  bool reentrant() const override { return true; }
 
  private:
   uarch::MachineConfig cfg_;

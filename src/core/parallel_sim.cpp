@@ -236,8 +236,7 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
   const device::FaultInjector* faults =
       (opts_.faults != nullptr && opts_.faults->enabled()) ? opts_.faults
                                                            : nullptr;
-  for (std::size_t p = start_p; p < P; ++p) {
-    engine.run_partition(p);
+  engine.run(start_p, P, [&](std::size_t p) {
     const std::size_t done = p + 1;
     if (checkpointing &&
         (done == P ||
@@ -248,7 +247,7 @@ ParallelSimResult ParallelSimulator::run(const trace::EncodedTrace& trace) {
       throw device::InjectedCrash("injected process death after partition " +
                                   std::to_string(p));
     }
-  }
+  });
 
   res.warmup_instructions = engine.warmup_instructions;
   res.corrected_instructions = engine.corrected_instructions;

@@ -17,6 +17,10 @@
 //                       The first partition of each GPU is never corrected
 //                       (keeps inter-GPU communication at zero).
 //
+// On the host, partition bodies run concurrently on the process's thread
+// pool and are folded in partition order (ShardEngine::run), so every
+// output equals running the partitions one at a time.
+//
 // Fault tolerance (docs/RESILIENCE.md): with a FaultInjector attached, the
 // engine tolerates device kills (failed partitions are requeued with
 // re-warmup under a retry budget with exponential backoff in modeled time),

@@ -50,6 +50,11 @@ class LatencyPredictor {
 
   /// Which device inference engine this predictor models.
   virtual device::Engine engine() const { return device::Engine::kTensorRT; }
+
+  /// True when predict_lazy may run on several threads at once: the
+  /// predictor keeps no per-call state. The parallel engine runs partitions
+  /// concurrently only when its predictors are reentrant.
+  virtual bool reentrant() const { return false; }
 };
 
 /// Replays ground-truth labels from a labeled trace.
@@ -63,6 +68,7 @@ class OraclePredictor final : public LatencyPredictor {
     return predict(WindowView{}, window.current_index());
   }
   std::size_t flops_per_window(std::size_t /*rows*/) const override { return 0; }
+  bool reentrant() const override { return true; }
 
  private:
   const trace::EncodedTrace& trace_;

@@ -29,6 +29,14 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
 
   std::size_t flops = predictor_.flops_per_window(rows);
   if (flops == 0) flops = simnet3c2f_flops(rows);  // analytic/oracle stand-ins
+  // Every modeled step cost is loop-invariant in the baseline flow.
+  const double push_us = cm.host_queue_push_us;
+  const double construct_us = cm.cpu_construct_us(rows);
+  const double h2d_us = cm.h2d_full_window_us(rows);
+  const double transpose_us = cm.transpose_us(rows);
+  const double inference_us =
+      cm.inference_us(opts_.engine, flops, 1, /*custom_conv=*/false, 1.0);
+  const double update_us = cm.host_update_retire_us;
   StepProfile acc;
 
   for (std::size_t i = begin; i < end; ++i) {
@@ -39,15 +47,14 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
       out.context_counts.push_back(static_cast<std::uint16_t>(lw.context_count()));
     }
     // Copies 1+2 (host).
-    acc.queue_push += cm.host_queue_push_us;
-    acc.input_construct += cm.cpu_construct_us(rows);
+    acc.queue_push += push_us;
+    acc.input_construct += construct_us;
     // Copy 3: full window H2D.
-    acc.h2d += cm.h2d_full_window_us(rows);
+    acc.h2d += h2d_us;
     // Copy 4: transpose kernel.
-    acc.transpose += cm.transpose_us(rows);
+    acc.transpose += transpose_us;
     // Inference.
-    acc.inference +=
-        cm.inference_us(opts_.engine, flops, 1, /*custom_conv=*/false, 1.0);
+    acc.inference += inference_us;
     LatencyPrediction p;
     if (opts_.batch_sink != nullptr) {
       lw.materialize(sink_window);
@@ -57,7 +64,7 @@ SimOutput SequentialSimulator::run(const trace::EncodedTrace& trace,
     }
     // Update + retire (host in the baseline flow).
     last_retire = std::max(last_retire, ring.retire(p));
-    acc.update_retire += cm.host_update_retire_us;
+    acc.update_retire += update_us;
 
     if (opts_.record_predictions) out.predictions.push_back(p);
   }

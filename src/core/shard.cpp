@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "obs/obs.h"
 
 namespace mlsim::core {
@@ -65,14 +69,71 @@ ShardPlan ShardPlan::make(std::size_t n, const ParallelSimOptions& opts) {
   return plan;
 }
 
+namespace {
+
+/// Claim state of one ShardEngine::run, shared with the pool tasks that
+/// help it. Partitions are claimed in ascending order, below `limit` and
+/// fewer than `window` ahead of the fold front (each claimed body holds one
+/// of `window` result slots). A task reaches `run_body` only through a
+/// claim, and run() returns only once every partition is claimed or the
+/// claims are closed and the running bodies are done, so a task the pool
+/// starts late finds nothing to claim and touches nothing but this state.
+struct Claims {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t lo = 0;       // the run's first partition
+  std::size_t next = 0;     // lowest unclaimed partition
+  std::size_t limit = 0;    // no claims at or past this partition
+  std::size_t folded = 0;   // fold front: the next partition to fold
+  std::size_t window = 1;   // result slots
+  std::size_t running = 0;  // claimed bodies not yet done
+  std::vector<std::uint8_t> done;  // body finished, by partition - lo
+  /// Runs partition p's body into its slot; false if the body threw.
+  std::function<bool(std::size_t)> run_body;
+
+  /// Claim the next partition if it may start (mu held).
+  bool claim(std::size_t& p) {
+    if (next >= limit || next >= folded + window) return false;
+    p = next++;
+    ++running;
+    return true;
+  }
+
+  /// Run claimed partition p's body with mu released, then publish it.
+  void execute(std::unique_lock<std::mutex>& lk, std::size_t p) {
+    lk.unlock();
+    const bool ok = run_body(p);
+    lk.lock();
+    // A later partition is never folded past a failed one: stop claiming.
+    if (!ok) limit = std::min(limit, p + 1);
+    --running;
+    done[p - lo] = 1;
+    cv.notify_all();
+  }
+
+  /// A pool task: run bodies until none is left to claim.
+  static void help(const std::shared_ptr<Claims>& c) {
+    std::unique_lock lk(c->mu);
+    for (;;) {
+      std::size_t p = 0;
+      if (c->claim(p)) {
+        c->execute(lk, p);
+      } else if (c->next >= c->limit) {
+        return;
+      } else {
+        c->cv.wait(lk);  // every slot is taken: wait for a fold
+      }
+    }
+  }
+};
+
+}  // namespace
+
 ShardEngine::ShardEngine(LatencyPredictor& predictor,
                          const trace::EncodedTrace& trace,
                          const ParallelSimOptions& opts, const ShardPlan& plan)
-    : predictor_(predictor),
-      trace_(trace),
-      opts_(opts),
-      plan_(plan),
-      ring_(opts.context_length) {
+    : predictor_(predictor), trace_(trace), opts_(opts), plan_(plan) {
+  check(opts_.context_length > 0, "context length must be positive");
   faults_ = (opts_.faults != nullptr && opts_.faults->enabled()) ? opts_.faults
                                                                  : nullptr;
   const std::size_t P = plan_.parts;
@@ -84,27 +145,85 @@ ShardEngine::ShardEngine(LatencyPredictor& predictor,
   failed.assign(P, 0);
   gpu_lost.assign(plan_.gpus, 0);
   fetch_lat_.assign(plan_.instructions, 0);
-  if (opts_.post_error_correction) head_counts_.resize(P);
   if (opts_.record_predictions) predictions.resize(plan_.instructions);
   if (opts_.record_context_counts) context_counts.assign(plan_.instructions, 0);
 }
 
-// Charge one exponential-backoff step and consume one unit of the retry
-// budget; throws CheckError once the partition is out of budget.
-void ShardEngine::charge_retry(std::size_t part, std::size_t& attempt,
-                               const char* why) {
-  check(attempt < opts_.max_retries_per_partition,
-        "partition " + std::to_string(part) + " retry budget (" +
-            std::to_string(opts_.max_retries_per_partition) +
-            ") exhausted; last failure: " + why);
-  backoff_us +=
-      opts_.retry_backoff_us * std::ldexp(1.0, static_cast<int>(attempt));
-  ++retries;
-  ++attempt;
-  MLSIM_COUNTER_ADD(obs::names::kParSimRetries, 1);
+std::size_t ShardEngine::width() const {
+  if (opts_.batch_sink != nullptr || !predictor_.reentrant() ||
+      (opts_.fallback != nullptr && !opts_.fallback->reentrant())) {
+    return 1;
+  }
+  return ThreadPool::global().size();
 }
 
-void ShardEngine::run_partition(std::size_t p) {
+void ShardEngine::run(std::size_t lo, std::size_t hi,
+                      const std::function<void(std::size_t)>& after_fold) {
+  if (lo >= hi) return;
+  const std::size_t threads = hi - lo == 1 ? 1 : std::min(width(), hi - lo);
+  // Twice the threads keeps every thread busy while the caller folds.
+  const std::size_t window = threads == 1 ? 1 : 2 * threads;
+  std::vector<Body> slots;
+  slots.reserve(window);
+  for (std::size_t k = 0; k < window; ++k) slots.emplace_back(opts_.context_length);
+
+  const auto claims = std::make_shared<Claims>();
+  Claims& c = *claims;
+  c.lo = c.next = c.folded = lo;
+  c.limit = hi;
+  c.window = window;
+  c.done.assign(hi - lo, 0);
+  c.run_body = [this, &slots, lo, window](std::size_t p) {
+    Body& out = slots[(p - lo) % window];
+    try {
+      body(p, out);
+      return true;
+    } catch (...) {
+      out.error = std::current_exception();
+      return false;
+    }
+  };
+  for (std::size_t t = 1; t < threads; ++t) {
+    ThreadPool::global().post([claims] { Claims::help(claims); });
+  }
+
+  try {
+    for (std::size_t p = lo; p < hi; ++p) {
+      {
+        std::unique_lock lk(c.mu);
+        while (!c.done[p - lo]) {
+          // The caller runs the next unclaimed body itself, so the run
+          // finishes even if no pool thread ever picks up a task (a busy
+          // or nested pool, a forked child).
+          std::size_t q = 0;
+          if (c.claim(q)) {
+            c.execute(lk, q);
+          } else {
+            c.cv.wait(lk);
+          }
+        }
+      }
+      Body& b = slots[(p - lo) % window];
+      if (b.error) std::rethrow_exception(b.error);
+      fold(p, b);
+      if (after_fold) after_fold(p);
+      {
+        std::lock_guard lk(c.mu);
+        ++c.folded;
+      }
+      c.cv.notify_all();
+    }
+  } catch (...) {
+    // Close the claims and wait for the running bodies: none outlives run().
+    std::unique_lock lk(c.mu);
+    c.limit = c.next;
+    c.cv.notify_all();
+    c.cv.wait(lk, [&c] { return c.running == 0; });
+    throw;
+  }
+}
+
+void ShardEngine::body(std::size_t p, Body& out) {
   MLSIM_TRACE_SPAN("parallel_sim/partition");
   MLSIM_HIST_TIMER(obs::names::kParSimPartitionNs);
   const std::size_t rows = opts_.context_length + 1;
@@ -115,7 +234,27 @@ void ShardEngine::run_partition(std::size_t p) {
   const std::size_t head_limit =
       correcting ? std::min(opts_.correction_limit + 1, e - b) : 0;
 
+  out.cycles = 0;
+  out.wasted = 0;
+  out.warmup = 0;
+  out.killed = false;
+  out.degraded = false;
+  out.occupancy.clear();
+  out.error = nullptr;
+  RetireRing& ring = out.ring;
+  std::vector<std::int32_t> sink_window;  // materialised window for batch_sink
+
+  // One exponential-backoff step per retry, charged by the fold; throws
+  // CheckError once the partition is out of budget.
   std::size_t attempt = 0;
+  const auto charge_retry = [&](const char* why) {
+    check(attempt < opts_.max_retries_per_partition,
+          "partition " + std::to_string(p) + " retry budget (" +
+              std::to_string(opts_.max_retries_per_partition) +
+              ") exhausted; last failure: " + why);
+    ++attempt;
+    MLSIM_COUNTER_ADD(obs::names::kParSimRetries, 1);
+  };
 
   for (;;) {  // attempt loop: body + re-warmup until an attempt survives
     // Kill decisions are pure in (partition, attempt), so a doomed attempt
@@ -123,57 +262,49 @@ void ShardEngine::run_partition(std::size_t p) {
     // the modeled cost of the partial body is charged.
     if (faults_ != nullptr) {
       if (const auto kp = faults_->kill_point(p, attempt)) {
-        const std::size_t body = e - h_begin;
-        const std::size_t wasted = std::min(
-            body, std::max<std::size_t>(
-                      1, static_cast<std::size_t>(std::llround(
-                             *kp * static_cast<double>(body)))));
-        partition_wasted[p] += wasted;
-        gpu_lost[plan_.gpu_of(p)] = 1;
-        if (!failed[p]) {
-          failed[p] = 1;
-          failed_list.push_back(p);
-        }
+        const std::size_t steps = e - h_begin;
+        out.wasted += std::min(
+            steps, std::max<std::size_t>(
+                       1, static_cast<std::size_t>(std::llround(
+                              *kp * static_cast<double>(steps)))));
+        out.killed = true;
         MLSIM_COUNTER_ADD(obs::names::kParSimDeviceKills, 1);
-        charge_retry(p, attempt, "device kill");
+        charge_retry("device kill");
         continue;  // requeued: next attempt re-warms from h_begin
       }
     }
 
-    warmup_instructions += b - h_begin;  // re-warmup is real extra work
+    out.warmup += b - h_begin;  // re-warmup is real extra work
     if (correcting) {
-      head_counts_[p].clear();
-      head_counts_[p].reserve(head_limit);
+      out.head_counts.clear();
+      out.head_counts.reserve(head_limit);
     }
-    ring_.reset(h_begin);
+    ring.reset(h_begin);
     std::uint64_t clock_at_body = 0;
-    LatencyPredictor& active = degraded[p] ? *opts_.fallback : predictor_;
-    const bool corrupting = faults_ != nullptr && !degraded[p] &&
+    LatencyPredictor& active = out.degraded ? *opts_.fallback : predictor_;
+    const bool corrupting = faults_ != nullptr && !out.degraded &&
                             faults_->options().output_corrupt_rate > 0.0;
     bool anomaly = false;
 
     for (std::size_t i = h_begin; i < e; ++i) {
       if (opts_.cancel != nullptr) opts_.cancel->check();
-      if (i == b) clock_at_body = ring_.clock();
-      const LazyWindow lw = ring_.view(trace_, i);
+      if (i == b) clock_at_body = ring.clock();
+      const LazyWindow lw = ring.view(trace_, i);
       const std::size_t cnt = lw.context_count();
-      if ((i & 63) == 0) {
-        occupancy.add(static_cast<double>(cnt) /
-                      static_cast<double>(opts_.context_length));
-      }
+      if ((i & 63) == 0) out.occupancy.push_back(static_cast<std::uint32_t>(cnt));
       if (opts_.record_context_counts && i >= b) {
         context_counts[i] = static_cast<std::uint16_t>(cnt);
       }
       if (correcting && i >= b && i - b < head_limit) {
-        head_counts_[p].push_back(static_cast<std::uint16_t>(cnt));
+        out.head_counts.push_back(static_cast<std::uint16_t>(cnt));
       }
 
       // Degraded partitions run on the fallback predictor and must bypass
       // the batching sink, which only fronts the primary.
       LatencyPrediction pr;
-      if (opts_.batch_sink != nullptr && !degraded[p]) {
-        lw.materialize(sink_window_);
-        pr = opts_.batch_sink->predict_via(sink_window_.data(), rows, i);
+      if (opts_.batch_sink != nullptr && !out.degraded) {
+        lw.materialize(sink_window);
+        pr = opts_.batch_sink->predict_via(sink_window.data(), rows, i);
       } else {
         pr = active.predict_lazy(lw);
       }
@@ -188,50 +319,79 @@ void ShardEngine::run_partition(std::size_t p) {
         // the final Clock gather). Abort the attempt and requeue the
         // partition on the fallback predictor (degraded mode).
         MLSIM_COUNTER_ADD(obs::names::kParSimAnomalies, 1);
-        check(!degraded[p], "anomalous prediction from the fallback "
-                            "predictor on partition " + std::to_string(p));
+        check(!out.degraded, "anomalous prediction from the fallback "
+                             "predictor on partition " + std::to_string(p));
         check(opts_.fallback != nullptr,
               "anomalous prediction on partition " + std::to_string(p) +
                   " and no fallback predictor configured");
-        partition_wasted[p] += i - h_begin + 1;
-        degraded[p] = 1;
-        degraded_list.push_back(p);
+        out.wasted += i - h_begin + 1;
+        out.degraded = true;
         anomaly = true;
         break;
       }
-      ring_.retire(pr);
+      ring.retire(pr);
       if (i >= b) {
         fetch_lat_[i] = pr.fetch;
         if (opts_.record_predictions) predictions[i] = pr;
       }
     }
     if (anomaly) {
-      charge_retry(p, attempt, "anomalous inference output");
+      charge_retry("anomalous inference output");
       continue;
     }
-    partition_cycles[p] = ring_.clock() - clock_at_body;
+    out.cycles = ring.clock() - clock_at_body;
     break;
   }
-  final_attempt[p] = static_cast<std::uint32_t>(attempt);
+  out.attempts = static_cast<std::uint32_t>(attempt);
+}
+
+void ShardEngine::fold(std::size_t p, Body& r) {
+  const std::size_t rows = opts_.context_length + 1;
+  const std::size_t b = plan_.boundaries[p], e = plan_.boundaries[p + 1];
+  const std::size_t h_begin = b >= opts_.warmup ? b - opts_.warmup : 0;
+
+  // The attempt loop's bookkeeping, in the order it happened.
+  partition_wasted[p] += r.wasted;
+  if (r.killed) {
+    gpu_lost[plan_.gpu_of(p)] = 1;
+    failed[p] = 1;
+    failed_list.push_back(p);
+  }
+  if (r.degraded) {
+    degraded[p] = 1;
+    degraded_list.push_back(p);
+  }
+  warmup_instructions += r.warmup;
+  for (std::uint32_t a = 0; a < r.attempts; ++a) {
+    backoff_us += opts_.retry_backoff_us * std::ldexp(1.0, static_cast<int>(a));
+  }
+  retries += r.attempts;
+  for (const std::uint32_t cnt : r.occupancy) {
+    occupancy.add(static_cast<double>(cnt) /
+                  static_cast<double>(opts_.context_length));
+  }
+  partition_cycles[p] = r.cycles;
+  final_attempt[p] = r.attempts;
   partition_steps[p] += e - h_begin;
 
   // ---- Post-error correction of this partition's head -----------------------
-  if (correcting && p > 0 && plan_.gpu_of(p) == plan_.gpu_of(p - 1) &&
-      prev.has_value()) {
+  if (opts_.post_error_correction && p > 0 &&
+      plan_.gpu_of(p) == plan_.gpu_of(p - 1) && prev.has_value()) {
     MLSIM_TRACE_SPAN("parallel_sim/correction");
     // Corrections belong to this partition's predictions, so a degraded
     // partition is corrected by its fallback predictor too.
     LatencyPredictor& corr_pred = degraded[p] ? *opts_.fallback : predictor_;
+    std::vector<std::int32_t> sink_window;  // materialised window for batch_sink
     std::size_t corrected = 0;
-    for (std::size_t j = 0; j < head_limit && b + j < e; ++j) {
+    for (std::size_t j = 0; j < r.head_counts.size(); ++j) {
       const std::size_t i = b + j;
       const LazyWindow lw = prev->view(trace_, i);
       const std::size_t cnt = lw.context_count();
-      if (cnt == head_counts_[p][j]) break;  // contexts converged
+      if (cnt == r.head_counts[j]) break;  // contexts converged
       LatencyPrediction pr;
       if (opts_.batch_sink != nullptr && !degraded[p]) {
-        lw.materialize(sink_window_);
-        pr = opts_.batch_sink->predict_via(sink_window_.data(), rows, i);
+        lw.materialize(sink_window);
+        pr = opts_.batch_sink->predict_via(sink_window.data(), rows, i);
       } else {
         pr = corr_pred.predict_lazy(lw);
       }
@@ -251,7 +411,7 @@ void ShardEngine::run_partition(std::size_t p) {
   }
 
   // Snapshot this partition's end state for correcting the next one.
-  if (opts_.post_error_correction) prev = ring_;
+  if (opts_.post_error_correction) prev = r.ring;
   MLSIM_COUNTER_ADD(obs::names::kParSimPartitionsDone, 1);
 }
 

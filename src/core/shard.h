@@ -8,9 +8,13 @@
 // ParallelSimulator::run into pieces reused by both executors:
 //
 //   ShardPlan    — partition boundaries + the block layout (who owns what);
-//   ShardEngine  — runs partitions in ascending order, carrying the
-//                  cross-partition state (retire ring, end-of-partition
-//                  snapshot) and all accumulators. The in-process
+//   ShardEngine  — runs a range of partitions: each partition's *body*
+//                  (the attempt loop) is a pure function of the partition,
+//                  so bodies run concurrently on the host's cores; each
+//                  *fold* (accumulators, post-error correction against the
+//                  previous partition's end ring, the caller's checkpoint)
+//                  runs on the calling thread in partition order, so every
+//                  output is the serial loop's. The in-process
 //                  ParallelSimulator drives one engine over every partition
 //                  (and checkpoints its public state); a distributed worker
 //                  drives one over just its block;
@@ -24,6 +28,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -84,23 +90,38 @@ struct ShardOutcome {
   std::vector<std::uint16_t> context_counts;
 };
 
-/// Executes partitions of a partitioned run in ascending order, carrying
-/// the retire ring and the end-of-previous-partition snapshot across calls.
-/// All state is public: the in-process ParallelSimulator checkpoints and
-/// restores it; distributed workers serialize a block of it via
-/// block_outcome(). `predictor`, `trace`, `opts`, and `plan` must outlive
-/// the engine.
+/// Executes partitions of a partitioned run, carrying the end-of-previous-
+/// partition ring and all accumulators across calls. All state is public:
+/// the in-process ParallelSimulator checkpoints and restores it; distributed
+/// workers serialize a block of it via block_outcome(). `predictor`,
+/// `trace`, `opts`, and `plan` must outlive the engine.
 class ShardEngine {
  public:
   ShardEngine(LatencyPredictor& predictor, const trace::EncodedTrace& trace,
               const ParallelSimOptions& opts, const ShardPlan& plan);
 
-  /// Run partition p: the fault-tolerant attempt loop (kills, anomaly
-  /// degradation, retry budget) plus post-error correction of p's head
-  /// against the previous partition's end state. Call with ascending p;
-  /// skipping to the first partition of a block is valid (blocks are
-  /// independent), skipping within a block is not.
-  void run_partition(std::size_t p);
+  /// Run partitions [lo, hi). Each partition's body — the fault-tolerant
+  /// attempt loop (kills, anomaly degradation, retry budget) — depends on
+  /// the partition alone, so bodies run on up to width() threads: the
+  /// caller and ThreadPool::global()'s workers claim them in ascending
+  /// order. Each partition's fold runs on the caller in ascending order:
+  /// it adds the body's results to the accumulators, corrects the
+  /// partition's head against the previous partition's end ring, then
+  /// calls `after_fold(p)` (checkpoint, heartbeat, injected death). Every
+  /// output equals running the partitions one at a time. An error is the
+  /// one that serial run raises (the lowest failing body's, or a fold's);
+  /// no body is left running when it propagates. Call with ascending
+  /// ranges; starting at the first partition of a block is valid (blocks
+  /// are independent), skipping within a block is not.
+  void run(std::size_t lo, std::size_t hi,
+           const std::function<void(std::size_t)>& after_fold = {});
+
+  /// run(p, p + 1).
+  void run_partition(std::size_t p) { run(p, p + 1); }
+
+  /// Threads run() spreads bodies over: 1 with a batch sink or a predictor
+  /// (primary or fallback) that is not reentrant, else the global pool's.
+  std::size_t width() const;
 
   /// Extract the outcome of block [part_lo, part_hi). Meaningful when the
   /// engine ran exactly that block (distributed worker) — accumulator
@@ -124,7 +145,7 @@ class ShardEngine {
   std::size_t warmup_instructions = 0;
   std::size_t corrected_instructions = 0;
   std::size_t retries = 0;
-  /// Partitions hit by a kill / finished degraded, in completion order.
+  /// Partitions hit by a kill / finished degraded, in partition order.
   std::vector<std::size_t> failed_list;
   std::vector<std::size_t> degraded_list;
 
@@ -134,7 +155,30 @@ class ShardEngine {
   std::vector<std::uint16_t> context_counts;
 
  private:
-  void charge_retry(std::size_t part, std::size_t& attempt, const char* why);
+  /// What one partition's body produced, held until its fold.
+  struct Body {
+    explicit Body(std::size_t context_length) : ring(context_length) {}
+    RetireRing ring;           // the surviving attempt's ring, at its end
+    std::uint64_t cycles = 0;  // the surviving attempt's Clock span
+    std::size_t wasted = 0;    // steps burnt by failed attempts
+    std::size_t warmup = 0;    // warm-up steps of every attempt that ran
+    std::uint32_t attempts = 0;  // retries charged = the surviving attempt
+    bool killed = false;
+    bool degraded = false;
+    /// Context counts sampled for the occupancy statistics, in order.
+    std::vector<std::uint32_t> occupancy;
+    /// Context counts of the head post-error correction may replace.
+    std::vector<std::uint16_t> head_counts;
+    std::exception_ptr error;  // the body threw; nothing else is valid
+  };
+
+  /// The attempt loop of partition p. Writes fetch_lat_, predictions and
+  /// context_counts only inside p's instruction range; all else goes to
+  /// `out`. Throws CheckError once the retry budget is spent.
+  void body(std::size_t p, Body& out);
+  /// Adds `b` (partition p's body) to the accumulators and corrects p's
+  /// head, exactly as the serial loop did after p's attempt loop.
+  void fold(std::size_t p, Body& b);
 
   LatencyPredictor& predictor_;
   const trace::EncodedTrace& trace_;
@@ -143,9 +187,6 @@ class ShardEngine {
   const device::FaultInjector* faults_;  // null when disabled
 
   std::vector<std::uint32_t> fetch_lat_;
-  std::vector<std::vector<std::uint16_t>> head_counts_;
-  RetireRing ring_;
-  std::vector<std::int32_t> sink_window_;  // materialised window for batch_sink
 };
 
 /// Merges shard outcomes (added in ascending part_lo order) back into full

@@ -11,6 +11,13 @@ namespace {
 constexpr std::size_t kRowBytes = trace::kNumFeatures * sizeof(std::int32_t);
 }
 
+void charge_refill(device::Device& dev, device::StreamId stream, bool primed,
+                   std::size_t in_flight, std::size_t rows) {
+  if (primed) dev.launch(stream, 2 * in_flight * kRowBytes, 0, nullptr);
+  // One H2D transfer for the whole batch (the amortisation the design buys).
+  dev.copy_h2d(nullptr, nullptr, rows * kRowBytes, stream);
+}
+
 SlidingWindowQueue::SlidingWindowQueue(std::size_t context_length,
                                        std::size_t batch_n, device::Device& dev,
                                        device::StreamId copy_stream,
@@ -53,18 +60,18 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
       }
       retire_clock_[dst] = retire_clock_[src];
     }
-    // Device cost: only live rows — the tracked in-flight candidates — are
-    // actually moved by the compaction kernel (the paper skips copying
-    // retired instructions).
-    if (account_costs_) {
-      dev_.launch(copy_stream_, 2 * tracker_.count() * kRowBytes, 0, nullptr);
-    }
+  }
+  // Device cost: only live rows — the tracked in-flight candidates — are
+  // moved by the compaction kernel (the paper skips copying retired
+  // instructions); then the batch is copied.
+  const std::size_t m = refill_rows(batch_n_, count);
+  if (account_costs_) {
+    charge_refill(dev_, copy_stream_, primed_, tracker_.count(), m);
   }
   primed_ = true;
 
   // Stage the batch reversed: batch instruction j lands at p0 - j, so the
   // newest staged instruction sits at the lowest index (paper Fig. 3).
-  const std::size_t m = std::min(count, batch_n_ + 1);
   for (std::size_t j = 0; j < m; ++j) {
     const std::size_t slot = p0 - j;
     std::memcpy(buf_.data() + slot * trace::kNumFeatures,
@@ -73,9 +80,6 @@ std::size_t SlidingWindowQueue::refill(const std::int32_t* rows, std::size_t cou
   }
   // Clear unused staging slots so stale rows never leak into windows.
   for (std::size_t slot = 0; slot + m <= p0; ++slot) retire_clock_[slot] = 0;
-
-  // One H2D transfer for the whole batch (the amortisation the design buys).
-  if (account_costs_) dev_.copy_h2d(nullptr, nullptr, m * kRowBytes, copy_stream_);
 
   pos_ = p0;
   remaining_ = m;

@@ -16,8 +16,14 @@
 // windows inject the remaining-latency entries and zero retired rows,
 // exactly matching InstructionQueue. The in-flight count is tracked
 // incrementally (InFlightTracker) as instructions retire and slide out.
+//
+// The GPU engine steps over the trace in place (RetireRing) and charges the
+// queue's data movement through refill_rows() and charge_refill(), the same
+// cost this queue charges; the queue itself is the executable model of the
+// data path (custom convolution, tests, host-cost probes).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +31,19 @@
 #include "device/device.h"
 
 namespace mlsim::core {
+
+/// Rows one refill stages: the next instruction and the N after it, or
+/// the `remaining` rows left to stage if fewer.
+inline std::size_t refill_rows(std::size_t batch_n, std::size_t remaining) {
+  return std::min(remaining, batch_n + 1);
+}
+
+/// Charge one refill's modeled device cost to `stream`: once the queue is
+/// primed, the compaction kernel moving the `in_flight` live context rows
+/// (a read and a write each; retired rows are not copied), then one H2D
+/// copy of the `rows` staged rows.
+void charge_refill(device::Device& dev, device::StreamId stream, bool primed,
+                   std::size_t in_flight, std::size_t rows);
 
 class SlidingWindowQueue {
  public:

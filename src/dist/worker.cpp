@@ -24,7 +24,7 @@ using Clock = std::chrono::steady_clock;
 /// with obs disabled) and deltas of the kRollupCounters registry values.
 struct WorkerTelemetry {
   Clock::time_point last_heartbeat = Clock::now();
-  std::uint64_t busy_ns = 0;  // time inside run_partition since last_heartbeat
+  std::uint64_t busy_ns = 0;  // time running shard partitions since last_heartbeat
   std::uint64_t last_value[kNumRollupCounters] = {};
 
   HeartbeatMsg make(std::uint64_t session, std::uint64_t shard) {
@@ -224,19 +224,21 @@ WorkerStats run_worker(const WorkerConfig& cfg) {
               if (tracing) obs::set_trace_context(a.trace_id, a.parent_span);
               const std::uint64_t shard_t0 = obs::session_now_ns();
               core::ShardEngine engine(s.predictor, s.trace, s.opts, s.plan);
-              for (std::size_t p = a.part_lo; p < a.part_hi; ++p) {
-                const Clock::time_point t0 = Clock::now();
-                {
-                  MLSIM_TRACE_SPAN("worker/partition");
-                  engine.run_partition(p);
+              // Partition bodies run concurrently and fold in order; one
+              // partition's share of the block runs from the previous
+              // heartbeat to its fold.
+              std::uint64_t t0 = obs::session_now_ns();
+              engine.run(a.part_lo, a.part_hi, [&](std::size_t) {
+                const std::uint64_t busy = obs::session_now_ns() - t0;
+                telemetry.busy_ns += busy;
+                if (obs::enabled()) {
+                  obs::record_complete_event("worker/partition", t0, busy,
+                                             obs::thread_span_depth());
                 }
-                telemetry.busy_ns += static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - t0)
-                        .count());
                 net::send_frame(
                     conn, encode_heartbeat(telemetry.make(s.id, a.shard)));
-              }
+                t0 = obs::session_now_ns();
+              });
               std::vector<obs::SpanRecord> spans;
               if (tracing) {
                 obs::record_complete_event("worker/shard", shard_t0,

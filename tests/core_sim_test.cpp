@@ -3,10 +3,13 @@
 // optimisation stack, and the facade.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/analytic_predictor.h"
 #include "core/gpu_sim.h"
 #include "core/sequential_sim.h"
 #include "core/simulator.h"
+#include "core/sliding_window.h"
 #include "device/device.h"
 
 namespace mlsim::core {
@@ -118,6 +121,147 @@ INSTANTIATE_TEST_SUITE_P(
                       ToggleCase{true, true, true, true},
                       ToggleCase{true, false, true, true},
                       ToggleCase{false, false, false, true}));
+
+// ----------------------------------- GPU engine vs sliding-window replay --
+
+/// GpuSimulator's cost model replayed step by step through the
+/// SlidingWindowQueue, the executable model of the §IV-A data path, on its
+/// own Device: the queue stages and compacts the rows, charges its own
+/// copies, and hands out each step's window.
+SimOutput replay_through_queue(LatencyPredictor& pred, const GpuSimOptions& o,
+                               const trace::EncodedTrace& tr) {
+  device::Device dev;
+  const std::size_t rows = o.context_length + 1;
+  const CostModel& cm = o.costs;
+  std::size_t flops = pred.flops_per_window(rows);
+  if (flops == 0) flops = simnet3c2f_flops(rows);
+  const device::StreamId sim_stream = 0;
+  const device::StreamId copy_stream = dev.create_stream();
+  const bool swiq_path = o.gpu_input_construction && o.sliding_window;
+  SlidingWindowQueue queue(o.context_length, o.batch_n, dev, copy_stream,
+                           /*account_costs=*/swiq_path);
+  SimOutput out;
+  out.instructions = tr.size();
+  StepProfile acc;
+  double occupancy_sum = 0.0;
+  const double t0 = dev.synchronize();
+  std::size_t next = 0;
+  for (std::size_t cur = 0; cur < tr.size(); ++cur) {
+    if (queue.needs_refill()) {
+      const std::int32_t* rows_at =
+          tr.raw_features().data() + next * trace::kNumFeatures;
+      if (swiq_path) {
+        if (!o.pipelined) dev.wait(copy_stream, dev.record(sim_stream));
+        const double copy_start = dev.record(copy_stream);
+        next += queue.refill(rows_at, tr.size() - next);
+        const double copy_end = dev.record(copy_stream);
+        acc.h2d += copy_end - copy_start;
+        dev.wait(sim_stream, copy_end);
+      } else {
+        next += queue.refill(rows_at, tr.size() - next);
+      }
+    }
+    const LazyWindow lw = queue.view(cur);
+    const std::size_t ctx = lw.context_count();
+    occupancy_sum += static_cast<double>(ctx) / static_cast<double>(rows - 1);
+    if (o.record_context_counts) {
+      out.context_counts.push_back(static_cast<std::uint16_t>(ctx));
+    }
+    if (!o.gpu_input_construction) {
+      acc.queue_push += cm.host_queue_push_us;
+      acc.input_construct += cm.cpu_construct_us(rows);
+      acc.h2d += cm.h2d_full_window_us(rows);
+      dev.advance(sim_stream, cm.host_queue_push_us + cm.cpu_construct_us(rows) +
+                                  cm.h2d_full_window_us(rows));
+    } else if (!o.sliding_window) {
+      acc.h2d += cm.h2d_batched_row_us(o.batch_n);
+      acc.input_construct += cm.gpu_construct_us(rows);
+      dev.advance(sim_stream,
+                  cm.h2d_batched_row_us(o.batch_n) + cm.gpu_construct_us(rows));
+    } else if (!o.custom_conv) {
+      acc.input_construct += cm.swiq_construct_us(o.batch_n);
+      dev.advance(sim_stream, cm.swiq_construct_us(o.batch_n));
+    } else {
+      acc.input_construct += cm.custom_conv_construct_us(o.batch_n);
+      dev.advance(sim_stream, cm.custom_conv_construct_us(o.batch_n));
+    }
+    if (!o.custom_conv) {
+      acc.transpose += cm.transpose_us(rows);
+      dev.advance(sim_stream, cm.transpose_us(rows));
+    }
+    const double inf_us = cm.inference_us(
+        o.engine, flops, 1, o.custom_conv,
+        (static_cast<double>(ctx) + 1.0) / static_cast<double>(rows));
+    acc.inference += inf_us;
+    dev.advance(sim_stream, inf_us);
+    const LatencyPrediction p = pred.predict_lazy(lw);
+    queue.apply_prediction(p);
+    if (o.record_predictions) out.predictions.push_back(p);
+    const double upd = o.gpu_input_construction ? cm.gpu_update_retire_us
+                                                : cm.host_update_retire_us;
+    acc.update_retire += upd;
+    dev.advance(sim_stream, upd);
+  }
+  out.cycles = queue.total_cycles_with_drain();
+  out.sim_time_us = dev.synchronize() - t0;
+  const double n = static_cast<double>(out.instructions);
+  out.profile = {acc.queue_push / n, acc.input_construct / n, acc.h2d / n,
+                 acc.transpose / n,  acc.inference / n,       acc.update_retire / n};
+  out.avg_context_occupancy = occupancy_sum / n;
+  return out;
+}
+
+TEST(GpuSim, MatchesSlidingWindowQueueReplayExactly) {
+  const trace::EncodedTrace tr = small_trace("mcf", 1500);
+  AnalyticPredictor pred;
+  struct Path {
+    const char* name;
+    bool gic, swiq, cc;
+  };
+  const Path paths[] = {{"baseline", false, false, false},
+                        {"gic", true, false, false},
+                        {"swiq", true, true, false},
+                        {"custom-conv", true, true, true}};
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const Path& path : paths) {
+    for (const bool pipelined : {false, true}) {
+      for (const std::size_t batch_n : {1, 10, 64}) {
+        for (const std::size_t ctx : {16, 64, 111}) {
+          SCOPED_TRACE(std::string(path.name) + " pipelined " +
+                       std::to_string(pipelined) + " batch " +
+                       std::to_string(batch_n) + " context " +
+                       std::to_string(ctx));
+          GpuSimOptions o;
+          o.context_length = ctx;
+          o.batch_n = batch_n;
+          o.gpu_input_construction = path.gic;
+          o.sliding_window = path.swiq;
+          o.custom_conv = path.cc;
+          o.pipelined = pipelined;
+          o.record_predictions = true;
+          o.record_context_counts = true;
+          const SimOutput want = replay_through_queue(pred, o, tr);
+          device::Device dev;
+          const SimOutput got = GpuSimulator(pred, dev, o).run(tr);
+          EXPECT_EQ(got.cycles, want.cycles);
+          EXPECT_TRUE(got.predictions == want.predictions);
+          EXPECT_EQ(got.context_counts, want.context_counts);
+          EXPECT_EQ(bits(got.sim_time_us), bits(want.sim_time_us));
+          EXPECT_EQ(bits(got.avg_context_occupancy),
+                    bits(want.avg_context_occupancy));
+          EXPECT_EQ(bits(got.profile.queue_push), bits(want.profile.queue_push));
+          EXPECT_EQ(bits(got.profile.input_construct),
+                    bits(want.profile.input_construct));
+          EXPECT_EQ(bits(got.profile.h2d), bits(want.profile.h2d));
+          EXPECT_EQ(bits(got.profile.transpose), bits(want.profile.transpose));
+          EXPECT_EQ(bits(got.profile.inference), bits(want.profile.inference));
+          EXPECT_EQ(bits(got.profile.update_retire),
+                    bits(want.profile.update_retire));
+        }
+      }
+    }
+  }
+}
 
 // --------------------------------------- optimisation stack (Fig. 16 shape) --
 

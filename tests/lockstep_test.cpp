@@ -34,6 +34,14 @@ struct Config {
   bool correction;
 };
 
+// Name each case by its fields. The default printer dumps the struct's
+// bytes, uninitialized padding included, so the case names would change
+// between builds.
+void PrintTo(const Config& c, std::ostream* os) {
+  *os << "parts" << c.parts << "_gpus" << c.gpus << "_warmup" << c.warmup
+      << (c.correction ? "_corrected" : "");
+}
+
 class LockstepEquivalence : public ::testing::TestWithParam<Config> {};
 
 TEST_P(LockstepEquivalence, MatchesParallelSimulatorExactly) {
